@@ -61,10 +61,8 @@ func main() {
 		ckptEvery    = flag.Duration("checkpoint-interval", 5*time.Minute, "periodic checkpoint interval (requires -checkpoint)")
 		retrainEvery = flag.Int("retrain-every", 16, "trigger a background retraining round every N feedbacks (0 disables)")
 		maxExp       = flag.Int("max-experience", 0, "experience-pool cap; oldest entries are dropped beyond it (0 = default 100000, negative = unbounded)")
-		fuse         = flag.Bool("fuse-scoring", true, "fuse concurrent requests' value-network scoring into shared forward passes (bit-identical plans; see /stats fusion counters)")
-		maxFused     = flag.Int("max-fused-batch", 0, "row cap of one fused forward pass (0 = default 64)")
-		fuseLinger   = flag.Duration("fuse-linger", 0, "longest a scoring submission waits to be fused (0 = default 200µs)")
-		scorePrec    = flag.String("score-precision", "float32", "numeric format the frozen serving snapshot scores plans with: float64 (exact), float32 (packed tiled-GEMM kernels) or int8 (calibrated quantization; serves float32 until the first retrain provides calibration material). Training and checkpoints always stay float64.")
+		fuse         = flag.Bool("fuse-scoring", true, "score requests through a per-snapshot score memo that skips already-scored plans (bit-identical plans; see /stats fusion counters)")
+		scorePrec    = flag.String("score-precision", "float32", "numeric format the frozen serving snapshot scores plans with: float64 (exact) or float32 (packed tiled-GEMM kernels). Training and checkpoints always stay float64.")
 		routing      = flag.String("routing", "full", "query routing: full (every query takes the learned best-first search), fastpath (statistics-free greedy planner for every query) or auto (per-class routing — greedy microsecond planning for chains/stars, full search for hard shapes, refined online from observed-latency regret; see /stats routing section)")
 		trainerURL   = flag.String("trainer", "", "trainer base URL; switches the daemon into replica mode (no local training, feedback forwarded, snapshots pulled)")
 		flushEvery   = flag.Duration("flush-every", 0, "replica mode: experience forwarding interval (0 = default 250ms)")
@@ -91,8 +89,6 @@ func main() {
 		Workers:          *workers,
 		TrainWorkers:     *trainWorkers,
 		FuseScoring:      *fuse,
-		MaxFusedBatch:    *maxFused,
-		FuseLinger:       *fuseLinger,
 		ScorePrecision:   *scorePrec,
 		Routing:          *routing,
 	})

@@ -34,10 +34,8 @@ func main() {
 		trainWorkers = flag.Int("train-workers", 0, "gradient worker-pool size for value-network training (0 = GOMAXPROCS, negative = serial; trained weights are bit-identical for every worker count)")
 		load         = flag.String("load", "", "checkpoint file to restore trained state from (skips bootstrapping; the system config must match the one the checkpoint was saved with)")
 		save         = flag.String("save", "", "checkpoint file to write the trained state to after refinement")
-		fuse         = flag.Bool("fuse-scoring", false, "fuse concurrent plan searches' value-network scoring into shared forward passes (plans and trained weights are bit-identical either way)")
-		maxFused     = flag.Int("max-fused-batch", 0, "row cap of one fused forward pass (0 = default 64)")
-		fuseLinger   = flag.Duration("fuse-linger", 0, "longest a scoring submission waits to be fused (0 = default 200µs)")
-		scorePrec    = flag.String("score-precision", "float64", "numeric format the frozen serving snapshot scores plans with: float64 (exact, default), float32 (packed tiled-GEMM kernels) or int8 (calibrated quantization). Training and checkpoints always stay float64.")
+		fuse         = flag.Bool("fuse-scoring", false, "score plan searches through a per-snapshot score memo that skips already-scored plans (plans and trained weights are bit-identical either way)")
+		scorePrec    = flag.String("score-precision", "float64", "numeric format the frozen serving snapshot scores plans with: float64 (exact, default) or float32 (packed tiled-GEMM kernels). Training and checkpoints always stay float64.")
 		routing      = flag.String("routing", "full", "query routing: full (every query takes the learned best-first search), fastpath (statistics-free greedy planner for every query) or auto (per-class fast path vs full search, refined online from observed-latency regret)")
 	)
 	flag.Parse()
@@ -54,8 +52,6 @@ func main() {
 		Workers:        *workers,
 		TrainWorkers:   *trainWorkers,
 		FuseScoring:    *fuse,
-		MaxFusedBatch:  *maxFused,
-		FuseLinger:     *fuseLinger,
 		ScorePrecision: *scorePrec,
 		Routing:        *routing,
 	})

@@ -112,8 +112,7 @@ func main() {
 	// -score-precision flag — neo-serve defaults to float32). Training
 	// always stays float64; only the frozen serving snapshot converts, and
 	// float32 plan choices are pinned identical to float64 by the test
-	// suite. An "int8" mode trades a documented score tolerance for ~4x
-	// smaller weight panels.
+	// suite.
 	f32cfg := sys.Config
 	f32cfg.ScorePrecision = "float32"
 	fast, err := neo.Open(f32cfg)

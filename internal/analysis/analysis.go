@@ -99,14 +99,13 @@ func DefaultConfig() Config {
 		FrozenTypes: []string{
 			"neo/internal/valuenet.Snapshot",
 			"neo/internal/valuenet.netF32",
-			"neo/internal/valuenet.netI8",
 			"neo/internal/core.netSnapshot",
 		},
 		FrozenAllow: []string{
 			// SnapshotPrecision is the constructor: it builds the frozen
 			// predictor before publication.
 			"neo/internal/valuenet.Network.SnapshotPrecision",
-			// newNetSnapshot assembles the snapshot/scheduler pair that the
+			// newNetSnapshot assembles the snapshot/score-memo pair that the
 			// atomic swap publishes.
 			"neo/internal/core.Neo.newNetSnapshot",
 		},

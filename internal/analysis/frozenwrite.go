@@ -8,7 +8,7 @@ import (
 // frozenwriteCheck flags assignments that mutate a frozen snapshot type
 // outside its designated constructor/swap sites. The repository's scoring
 // path depends on snapshots being immutable after publication: valuenet's
-// Snapshot (and its netF32/netI8 predictors) and core's netSnapshot are
+// Snapshot (and its netF32 predictor) and core's netSnapshot are
 // built once, then swapped in atomically and read lock-free by every
 // serving goroutine. A write to a published snapshot is a data race that no
 // test reliably catches — the race detector only sees interleavings that

@@ -120,17 +120,12 @@ func newFixture(batchSize, trainWorkers int) *fixture {
 }
 
 // Scoring measures batched versus sequential inference at batch 32 (the
-// BenchmarkBatchedVsSequentialScoring pair), plus the reduced-precision
-// snapshot kernels over the same batch: packed float32 tiled-GEMM panels and
-// the calibrated int8 mode (calibrated on the fixture's own samples).
+// BenchmarkBatchedVsSequentialScoring pair), plus the packed float32
+// tiled-GEMM snapshot kernels over the same batch.
 func Scoring() Suite {
 	const batchSize = 32
 	f := newFixture(batchSize, 1)
-	s32 := f.net.SnapshotPrecision(valuenet.PrecisionFloat32, nil)
-	s8 := f.net.SnapshotPrecision(valuenet.PrecisionInt8, f.samples)
-	if s8.Precision() != valuenet.PrecisionInt8 {
-		panic("bench: int8 snapshot fell back despite calibration samples")
-	}
+	s32 := f.net.SnapshotPrecision(valuenet.PrecisionFloat32)
 	return Suite{Suite: "score", Benchmarks: []Result{
 		measure("scoring/sequential", func(b *testing.B) {
 			b.ReportAllocs()
@@ -150,12 +145,6 @@ func Scoring() Suite {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s32.PredictBatch(f.queries, f.forests)
-			}
-		}),
-		measure("scoring/int8", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s8.PredictBatch(f.queries, f.forests)
 			}
 		}),
 	}}
@@ -358,7 +347,7 @@ func percentileNS(ns []float64, p float64) float64 {
 }
 
 // servingWorkers is the concurrency of the fused-serving benchmark: 8
-// concurrent searches, the acceptance scenario of the scheduler.
+// concurrent searches sharing one score memo.
 const servingWorkers = 8
 
 // servingHotQueries is how many distinct hot query structures the 8
@@ -463,7 +452,7 @@ func servingFixture() (snap, snap32 *valuenet.Snapshot, streams []scoreStream) {
 
 // replayServing drives the 8 concurrent search streams through a predictor —
 // the raw snapshot (private per-request scoring: every request pays its own
-// forward passes) or a shared Scheduler (fused serving). Two workers replay
+// forward passes) or a shared Scheduler (memoised serving). Two workers replay
 // each hot query's stream, modelling the cache-cold stampede right after a
 // retraining swap empties the plan cache, when concurrent requests for the
 // same hot query cannot be answered by memoised plans and race through
@@ -485,10 +474,9 @@ func replayServing(predict sched.Backend, streams []scoreStream) {
 // ServingBenchmarks builds the fused-serving benchmark pair over a shared
 // fixture: the scoring traffic of 8 concurrent searches stampeding over hot
 // queries, served by private per-request scoring versus through the shared
-// micro-batching scheduler (fusing co-resident submissions into shared
-// passes and deduplicating identical rows over the same immutable weights).
-// A fresh scheduler per op keeps its memoisation cache as cold as a
-// just-swapped snapshot's. Scores are verified bit-identical before
+// score memo (deduplicating identical rows over the same immutable weights).
+// A fresh scheduler per op keeps its cache as cold as a just-swapped
+// snapshot's. Scores are verified bit-identical before
 // measuring; plan-level equality is locked down by the core and serve test
 // suites. fusedF32 runs the same fused traffic against the float32-packed
 // form of the same weights — the neo-serve default.
@@ -496,7 +484,7 @@ func ServingBenchmarks() (private, fused, fusedF32 func(b *testing.B)) {
 	snap, snap32, streams := servingFixture()
 
 	// Safety check: the gate compares throughput of the paths, so first
-	// prove fusion produces the same bits as private scoring for one full
+	// prove the memo produces the same bits as private scoring for one full
 	// stream, at each precision against its own private baseline.
 	for _, sn := range []*valuenet.Snapshot{snap, snap32} {
 		s := sched.New(sn, sched.Options{})
@@ -509,7 +497,6 @@ func ServingBenchmarks() (private, fused, fusedF32 func(b *testing.B)) {
 				}
 			}
 		}
-		s.Close()
 	}
 
 	private = func(b *testing.B) {
@@ -524,7 +511,6 @@ func ServingBenchmarks() (private, fused, fusedF32 func(b *testing.B)) {
 			for i := 0; i < b.N; i++ {
 				s := sched.New(sn, sched.Options{})
 				replayServing(s, streams)
-				s.Close()
 			}
 		}
 	}

@@ -73,33 +73,20 @@ type Config struct {
 	// value forces serial execution.
 	Workers int
 	// FuseScoring routes every search's batched-scoring submissions through
-	// a shared micro-batching scheduler (internal/sched): submissions from
-	// concurrent searches that arrive within FuseLinger of each other are
-	// fused into one shared value-network forward pass of up to MaxFusedBatch
-	// rows, so serving N concurrent searches approaches the cost of one
-	// large-batch scorer instead of N small ones. Fused scores are
+	// a per-snapshot score memo (internal/sched): each distinct encoded row
+	// is scored once per snapshot, and cached rows and duplicates within one
+	// submission are answered without a forward pass. Memoised scores are
 	// bit-identical to private scoring (the batch kernels compute each row
 	// independently in a fixed order), so every search — and everything
-	// trained from its plans — is unaffected by fusion. The scheduler is
-	// pinned to the serving snapshot and is drained and recreated on every
-	// snapshot swap, so one fused pass can never mix scores from two weight
-	// sets. A search running alone skips the linger entirely; the fusion tax
-	// on an idle server is zero.
+	// trained from its plans — is unaffected. The memo is pinned to the
+	// serving snapshot and recreated on every snapshot swap, so it never
+	// mixes scores from two weight sets.
 	FuseScoring bool
-	// MaxFusedBatch caps the rows of one fused forward pass (zero selects
-	// sched.DefaultMaxBatch). Only meaningful with FuseScoring.
-	MaxFusedBatch int
-	// FuseLinger bounds how long a scoring submission waits to be fused with
-	// others before its batch runs anyway (zero selects sched.DefaultLinger,
-	// 200µs). Only meaningful with FuseScoring.
-	FuseLinger time.Duration
 	// ScorePrecision selects the numeric format serving snapshots score
-	// with: float64 (the exact training kernels, the zero value), float32
-	// (packed tiled-GEMM panels), or int8 (symmetric per-channel quantized
-	// with calibrated activation scales; falls back to float32 until the
-	// experience holds calibration samples). Conversion happens once per
-	// snapshot publication, inside the atomic swap — training and
-	// checkpoints stay bit-identical float64 regardless of this setting.
+	// with: float64 (the exact training kernels, the zero value) or float32
+	// (packed tiled-GEMM panels). Conversion happens once per snapshot
+	// publication, inside the atomic swap — training and checkpoints stay
+	// bit-identical float64 regardless of this setting.
 	ScorePrecision valuenet.Precision
 	// Routing selects how queries are dispatched between the statistics-free
 	// greedy fast path (internal/fastpath) and the full DNN-guided best-first
@@ -189,15 +176,15 @@ type Neo struct {
 	// tagged with its version. It is swapped atomically at the end of each
 	// retraining round, so in-flight searches finish against the weights
 	// they started with while new searches pick up the freshly trained
-	// network (double buffering). Version, weights and the fused-scoring
-	// scheduler travel in one pointer so a reader can never observe new
-	// weights under an old version — or an old scheduler fusing against new
-	// weights — or vice versa.
+	// network (double buffering). Version, weights and the score memo
+	// travel in one pointer so a reader can never observe new weights under
+	// an old version — or an old memo answering for new weights — or vice
+	// versa.
 	snap atomic.Pointer[netSnapshot]
 
-	// fuse aggregates fusion statistics across every scheduler this Neo
-	// creates over its lifetime (schedulers are recreated on each snapshot
-	// swap), so /stats counters are monotonic. Nil when FuseScoring is off.
+	// fuse aggregates scoring statistics across every score memo this Neo
+	// creates over its lifetime (memos are recreated on each snapshot swap),
+	// so /stats counters are monotonic. Nil when FuseScoring is off.
 	fuse *sched.Counters
 
 	// router dispatches each Optimize between the greedy fast path and the
@@ -207,8 +194,8 @@ type Neo struct {
 }
 
 // netSnapshot pairs a frozen network with the version it was published as
-// and, when fused scoring is enabled, the micro-batching scheduler pinned to
-// exactly these weights.
+// and, when fused scoring is enabled, the score memo pinned to exactly these
+// weights.
 type netSnapshot struct {
 	net     *valuenet.Snapshot
 	version uint64
@@ -307,96 +294,12 @@ func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 	return n
 }
 
-// calibrationSampleCap bounds how many recorded featurizations the int8
-// calibration pass runs at snapshot time; calibrationRandomCap additionally
-// bounds the random-plan featurizations mixed in to cover the search-space
-// activation ranges (plan search scores many candidates far from the
-// recorded demonstrations, and activations outside the calibrated absmax
-// clamp — so calibrating on demonstrations alone would saturate exactly the
-// states the search needs ranked).
-const (
-	calibrationSampleCap   = 96
-	calibrationRandomCap   = 256
-	calibrationRandomPlans = 6 // random plans per distinct recent query
-)
-
-// calibrationSamples returns featurizations for the int8 activation-scale
-// calibration: up to max recorded ones (for the most recent experience
-// entries, the complete plan plus the partial plans along its construction,
-// so the calibration covers leaf-heavy forests as well as full join trees),
-// plus construction states of deterministic random plans for the recent
-// distinct queries, which widen the calibrated ranges to what plan search
-// actually visits. Returns nil unless the configured precision is int8.
-func (n *Neo) calibrationSamples(max int) []valuenet.Sample {
-	if n.Config.ScorePrecision != valuenet.PrecisionInt8 {
-		return nil
-	}
-	entries := n.Experience.Entries()
-	var samples []valuenet.Sample
-	for i := len(entries) - 1; i >= 0 && len(samples) < max; i-- {
-		entry := entries[i]
-		qEnc := n.encodeQuery(entry.Query)
-		for _, partial := range constructionStates(entry.Plan) {
-			if len(samples) >= max {
-				break
-			}
-			samples = append(samples, valuenet.Sample{
-				Query: qEnc,
-				Plan:  n.Featurizer.EncodePlan(partial),
-			})
-		}
-	}
-	rng := rand.New(rand.NewSource(n.Config.Seed ^ 0x5ca1ab1e))
-	budget := calibrationRandomCap
-	seen := make(map[string]bool)
-	for i := len(entries) - 1; i >= 0 && budget > 0; i-- {
-		q := entries[i].Query
-		if seen[q.ID] {
-			continue
-		}
-		seen[q.ID] = true
-		qEnc := n.encodeQuery(q)
-		for r := 0; r < calibrationRandomPlans && budget > 0; r++ {
-			for _, partial := range constructionStates(n.randomPlan(q, rng)) {
-				if budget <= 0 {
-					break
-				}
-				samples = append(samples, valuenet.Sample{
-					Query: qEnc,
-					Plan:  n.Featurizer.EncodePlan(partial),
-				})
-				budget--
-			}
-		}
-	}
-	return samples
-}
-
-// randomPlan builds a uniformly random complete plan for q (random join
-// order, operators and access paths) — the calibration pass's stand-in for
-// the kinds of candidates plan search scores.
-func (n *Neo) randomPlan(q *query.Query, rng *rand.Rand) *plan.Plan {
-	p := plan.Initial(q)
-	opts := plan.ChildrenOptions{Catalog: n.Featurizer.Catalog}
-	for !p.IsComplete() {
-		kids := p.Children(opts)
-		if len(kids) == 0 {
-			kids = p.Children(plan.ChildrenOptions{Catalog: n.Featurizer.Catalog, AllowCrossProducts: true})
-			if len(kids) == 0 {
-				return p
-			}
-		}
-		p = kids[rng.Intn(len(kids))]
-	}
-	return p
-}
-
 // freezeNet converts the live network's current weights into a serving
-// snapshot at the configured scoring precision (the packing/quantization
-// step of a snapshot publication). Callers must guarantee no training round
-// is mutating the weights, exactly as for Net.Snapshot.
+// snapshot at the configured scoring precision (the packing step of a
+// snapshot publication). Callers must guarantee no training round is
+// mutating the weights, exactly as for Net.Snapshot.
 func (n *Neo) freezeNet() *valuenet.Snapshot {
-	return n.Net.SnapshotPrecision(n.Config.ScorePrecision, n.calibrationSamples(calibrationSampleCap))
+	return n.Net.SnapshotPrecision(n.Config.ScorePrecision)
 }
 
 // SnapshotInfo reports the serving snapshot's scoring precision and memory
@@ -404,30 +307,14 @@ func (n *Neo) freezeNet() *valuenet.Snapshot {
 func (n *Neo) SnapshotInfo() valuenet.SnapshotInfo { return n.Snapshot().Info() }
 
 // newNetSnapshot wraps a frozen network for publication, attaching a fresh
-// micro-batching scheduler pinned to it when fused scoring is enabled. All
-// schedulers share one Counters so fusion statistics survive swaps.
+// score memo pinned to it when fused scoring is enabled. All memos share
+// one Counters so scoring statistics survive swaps.
 func (n *Neo) newNetSnapshot(snap *valuenet.Snapshot, version uint64) *netSnapshot {
 	ns := &netSnapshot{net: snap, version: version}
 	if n.fuse != nil {
-		ns.sched = sched.New(snap, sched.Options{
-			MaxBatch: n.Config.MaxFusedBatch,
-			Linger:   n.Config.FuseLinger,
-			Counters: n.fuse,
-		})
+		ns.sched = sched.New(snap, sched.Options{Counters: n.fuse})
 	}
 	return ns
-}
-
-// swapSnapshot atomically publishes a new netSnapshot and drains the
-// superseded one's scheduler: its pending fused batch runs against the old
-// weights and later submissions from searches still pinned to it score
-// directly (unfused) — so one fused pass never mixes scores from two weight
-// sets, and no search ever blocks on a retraining round.
-func (n *Neo) swapSnapshot(ns *netSnapshot) {
-	old := n.snap.Swap(ns)
-	if old != nil && old.sched != nil {
-		old.sched.Close()
-	}
 }
 
 // TrainingTime returns the cumulative wall-clock time spent training the
@@ -454,7 +341,7 @@ func (n *Neo) NetVersion() uint64 { return n.snap.Load().version }
 // the serving snapshot, in one atomic store together with the bumped
 // version. Callers must hold trainMu (which serializes version increments).
 func (n *Neo) publishSnapshot() {
-	n.swapSnapshot(n.newNetSnapshot(n.freezeNet(), n.snap.Load().version+1))
+	n.snap.Store(n.newNetSnapshot(n.freezeNet(), n.snap.Load().version+1))
 }
 
 // RestoreSnapshot freezes the live network's current weights and publishes
@@ -464,7 +351,7 @@ func (n *Neo) publishSnapshot() {
 func (n *Neo) RestoreSnapshot(version uint64) {
 	n.trainMu.Lock()
 	defer n.trainMu.Unlock()
-	n.swapSnapshot(n.newNetSnapshot(n.freezeNet(), version))
+	n.snap.Store(n.newNetSnapshot(n.freezeNet(), version))
 }
 
 // RNGState returns the seed and draw count that describe the training RNG's
@@ -569,7 +456,10 @@ func (n *Neo) cost(e Entry) float64 {
 	return e.Latency
 }
 
-// encodeQuery caches query-level encodings. Safe for concurrent use.
+// encodeQuery caches query-level encodings for the training and feedback
+// paths, which revisit the same experience queries. Serving encodes
+// directly (see Scorer) so distinct served queries do not grow the cache.
+// Safe for concurrent use.
 func (n *Neo) encodeQuery(q *query.Query) []float64 {
 	n.encMu.Lock()
 	defer n.encMu.Unlock()
@@ -805,18 +695,15 @@ type scoreBackend interface {
 // snapshot. ScoreBatch — the search hot path — encodes every plan of the
 // batch and runs one shared batched forward pass; all plans share the
 // query's cached encoding, so the network's query tower runs once per
-// batch. With fused scoring the backend is the snapshot's scheduler, and the
-// forward pass is additionally shared with whatever other searches submitted
-// within the linger window.
+// batch. With fused scoring the backend is the snapshot's score memo, which
+// skips rows it has already scored.
 type netScorer struct {
 	backend scoreBackend
 	feat    *feature.Featurizer
 	qEnc    []float64
 
-	// queries/forests are reused across ScoreBatch calls. Reuse is safe
-	// under fused scheduling too: PredictBatch blocks until the fused pass
-	// has scattered this submission's results, so the slices are never still
-	// referenced when the next ScoreBatch overwrites them.
+	// queries/forests are reused across ScoreBatch calls: PredictBatch
+	// keeps no reference to them once it returns.
 	queries [][]float64
 	forests [][]*treeconv.Tree
 }
@@ -842,24 +729,24 @@ func (s *netScorer) Score(p *plan.Plan) float64 {
 // search.Scorer. The scorer is pinned to the network snapshot current at
 // creation time, so a search runs against one consistent set of weights
 // even if a background retraining round swaps the snapshot mid-search; with
-// Config.FuseScoring it scores through that snapshot's shared scheduler, so
-// its forward passes fuse with other searches in flight (bit-identical
-// scores either way). Each returned scorer carries its own scratch state, so
-// concurrent searches use separate Scorer instances (see pkg/neo's PlanAll).
+// Config.FuseScoring it scores through that snapshot's shared score memo
+// (bit-identical scores either way). The query is encoded afresh rather than
+// through the encoding cache, so serving many distinct queries does not grow
+// it. Each returned scorer carries its own scratch state, so concurrent
+// searches use separate Scorer instances (see pkg/neo's PlanAll).
 func (n *Neo) Scorer(q *query.Query) search.BatchScorer {
 	ns := n.snap.Load()
 	var backend scoreBackend = ns.net
 	if ns.sched != nil {
 		backend = ns.sched
 	}
-	return &netScorer{backend: backend, feat: n.Featurizer, qEnc: n.encodeQuery(q)}
+	return &netScorer{backend: backend, feat: n.Featurizer, qEnc: n.Featurizer.EncodeQuery(q)}
 }
 
-// FusionStats reports the cross-request inference scheduler's cumulative
-// fusion statistics (Enabled reports whether Config.FuseScoring is on; all
-// counters are zero when it is not). Counters aggregate across snapshot
-// swaps, so they are monotonic over the process lifetime. Safe for
-// concurrent use.
+// FusionStats reports the score memo's cumulative statistics (Enabled
+// reports whether Config.FuseScoring is on; all counters are zero when it
+// is not). Counters aggregate across snapshot swaps, so they are monotonic
+// over the process lifetime. Safe for concurrent use.
 func (n *Neo) FusionStats() sched.Stats {
 	if n.fuse == nil {
 		return sched.Stats{}

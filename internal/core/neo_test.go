@@ -345,3 +345,30 @@ func TestNeoCompetitiveWithExpertAfterTraining(t *testing.T) {
 		t.Errorf("after bootstrap + 5 episodes Neo should be within 2x of the expert, got %.2fx", ratio)
 	}
 }
+
+// TestServingDoesNotGrowEncodingCache: the query-encoding cache serves the
+// training and feedback paths, which revisit experience queries. Serving
+// distinct queries must not add to it, or a long-running server keeps one
+// encoding per query it ever planned.
+func TestServingDoesNotGrowEncodingCache(t *testing.T) {
+	rig := newRig(t, "postgres")
+	rig.neo.Config.SearchExpansions = 8
+	wl, err := workload.JOB(rig.db, 50, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.neo.encMu.Lock()
+	before := len(rig.neo.queryEncCache)
+	rig.neo.encMu.Unlock()
+	for _, q := range wl.Queries {
+		if _, _, err := rig.neo.Optimize(q); err != nil {
+			t.Fatalf("Optimize(%s): %v", q.ID, err)
+		}
+	}
+	rig.neo.encMu.Lock()
+	after := len(rig.neo.queryEncCache)
+	rig.neo.encMu.Unlock()
+	if after != before {
+		t.Fatalf("optimizing %d distinct queries grew the encoding cache from %d to %d entries", len(wl.Queries), before, after)
+	}
+}

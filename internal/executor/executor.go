@@ -298,7 +298,7 @@ func (e *Executor) executeJoin(n *plan.Node, q *query.Query, left, right *relati
 		}
 		lslot := left.slot[leftCol.table]
 		rest := joins[1:]
-		limit := e.maxRows() * 4 // allow some slack before sampling
+		limit := e.joinLimit()
 		for _, lr := range left.rows {
 			key := leftColumn.Value(int(lr[lslot])).String()
 			for _, ri := range build[key] {
@@ -377,6 +377,17 @@ func (e *Executor) maxRows() int {
 		return e.MaxRows
 	}
 	return DefaultMaxRows
+}
+
+// joinLimit is how many rows a hash join may emit before it stops probing:
+// four times the sampling cap, as slack before maybeSample downsamples. The
+// multiply saturates, so a cap near math.MaxInt lifts the limit instead of
+// wrapping it negative.
+func (e *Executor) joinLimit() int {
+	if limit := e.maxRows(); limit <= math.MaxInt/4 {
+		return limit * 4
+	}
+	return math.MaxInt
 }
 
 // maybeSample downsamples a relation that exceeds the cap, adjusting its

@@ -131,6 +131,30 @@ func TestCountMatchesExecute(t *testing.T) {
 	}
 }
 
+// TestHugeMaxRowsDoesNotWrapJoinLimit: a sampling cap near math.MaxInt (a
+// caller lifting the cap to count exactly) must not overflow the hash join's
+// 4x slack into a negative limit, which stopped probing after the first
+// left row and silently undercounted.
+func TestHugeMaxRowsDoesNotWrapJoinLimit(t *testing.T) {
+	db := imdb(t)
+	q := loveQuery()
+	want, err := New(db).Count(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxRows := range []int{math.MaxInt, math.MaxInt/4 + 1} {
+		e := New(db)
+		e.MaxRows = maxRows
+		got, err := e.Count(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("MaxRows=%d: Count = %v, want %v", maxRows, got, want)
+		}
+	}
+}
+
 func TestCrossProductFlag(t *testing.T) {
 	e := New(imdb(t))
 	q := query.New("cross", []string{"keyword", "info_type"}, nil, nil)

@@ -51,34 +51,6 @@ func (a *Arena32) Reset() {
 	a.used = 0
 }
 
-// ArenaI8 is the int8 sibling of Arena32, used for quantized activation
-// buffers. Not safe for concurrent use.
-type ArenaI8 struct {
-	buf  []int8
-	used int
-	grow int
-}
-
-// Alloc returns a scratch slice of length n. The memory is NOT zeroed.
-func (a *ArenaI8) Alloc(n int) []int8 {
-	if a.used+n > len(a.buf) {
-		a.grow += n
-		return make([]int8, n)
-	}
-	s := a.buf[a.used : a.used+n : a.used+n]
-	a.used += n
-	return s
-}
-
-// Reset recycles the arena.
-func (a *ArenaI8) Reset() {
-	if a.grow > 0 {
-		a.buf = make([]int8, len(a.buf)+a.grow)
-		a.grow = 0
-	}
-	a.used = 0
-}
-
 // PanelF32 is the output width of a packed float32 panel: 8 float32 lanes —
 // exactly one AVX ymm register, and the unit the assembly micro-kernel
 // processes per fused multiply-add.
@@ -210,37 +182,6 @@ func LeakyReLUF32(xs []float32, alpha float32) {
 	}
 }
 
-// AbsMaxCols raises dst[c] to at least the largest |x| seen in column c of
-// the rows×k row-major matrix xs — the per-channel absmax observer of the
-// int8 calibration pass.
-func AbsMaxCols(xs []float32, rows, k int, dst []float32) {
-	for r := 0; r < rows; r++ {
-		row := xs[r*k : (r+1)*k]
-		for c, v := range row {
-			if v < 0 {
-				v = -v
-			}
-			if v > dst[c] {
-				dst[c] = v
-			}
-		}
-	}
-}
-
-// AbsMaxF32 returns the largest absolute value in xs (0 for empty input).
-func AbsMaxF32(xs []float32) float32 {
-	var m float32
-	for _, v := range xs {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // LayerNormF32 is the float32 inference form of LayerNorm.
 type LayerNormF32 struct {
 	Dim         int
@@ -323,24 +264,10 @@ func (m *MLPF32) Bytes() int {
 
 // ForwardBatch runs the packed MLP over rows input rows (row-major in xs).
 func (m *MLPF32) ForwardBatch(xs []float32, rows int, a *Arena32) []float32 {
-	return m.forward(xs, rows, a, nil)
-}
-
-// ForwardBatchObserve is ForwardBatch plus a per-channel absmax observer:
-// obs[i][c] is raised to at least the largest |x| seen in channel c of
-// Linear i's input. Used by the int8 calibration pass.
-func (m *MLPF32) ForwardBatchObserve(xs []float32, rows int, a *Arena32, obs [][]float32) []float32 {
-	return m.forward(xs, rows, a, obs)
-}
-
-func (m *MLPF32) forward(xs []float32, rows int, a *Arena32, obs [][]float32) []float32 {
 	cur := xs
 	last := len(m.Lins) - 1
 	for i := range m.Lins {
 		lin := &m.Lins[i]
-		if obs != nil {
-			AbsMaxCols(cur, rows, lin.K, obs[i])
-		}
 		ys := a.Alloc(rows * lin.Out)
 		lin.Gemm(cur, rows, lin.K, ys)
 		if i == last {

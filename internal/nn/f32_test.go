@@ -129,153 +129,6 @@ func testMLPF32Parity(t *testing.T) {
 	}
 }
 
-// observersFor allocates the per-layer, per-channel observer slices for a
-// packed MLP.
-func observersFor(m32 *MLPF32) [][]float32 {
-	obs := make([][]float32, len(m32.Lins))
-	for i := range m32.Lins {
-		obs[i] = make([]float32, m32.Lins[i].K)
-	}
-	return obs
-}
-
-// TestMLPF32Observe checks the calibration observer records per-layer,
-// per-channel input absmax.
-func TestMLPF32Observe(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	m := NewMLP([]int{4, 8, 1}, true, rng)
-	m32 := NewMLPF32(m)
-	var a Arena32
-	xs := []float32{1, -3, 2, 0.5, 0, 0, -7, 1}
-	obs := observersFor(m32)
-	m32.ForwardBatchObserve(xs, 2, &a, obs)
-	if want := []float32{1, 3, 7, 1}; obs[0][0] != want[0] || obs[0][1] != want[1] || obs[0][2] != want[2] || obs[0][3] != want[3] {
-		t.Fatalf("obs[0] = %v, want %v (per-channel input absmax)", obs[0], want)
-	}
-	if AbsMaxF32(obs[1]) <= 0 {
-		t.Fatalf("obs[1] = %v, want some channel > 0 (hidden activation absmax)", obs[1])
-	}
-}
-
-// TestPackedI8Saturation checks extreme and denormal weights: per-channel
-// quantization maps each row's absmax to exactly ±127 (no wraparound), and
-// out-of-calibration activations clamp instead of wrapping.
-func TestPackedI8Saturation(t *testing.T) {
-	w := []float64{
-		1e30, -1e30, 5e29, 0, // huge weights
-		5e-324, -5e-324, 0, 0, // denormal weights
-		0, 0, 0, 0, // all-zero row
-	}
-	bias := []float64{0, 0, 0}
-	p := PackI8(3, bias, []int{4}, nil, w)
-	// Row 0: absmax 1e30 → ±127 at the extremes, no wrap.
-	if p.W[0*p.Kp+0] != 127 || p.W[0*p.Kp+1] != -127 {
-		t.Fatalf("extreme weights quantized to %d,%d want 127,-127", p.W[0*p.Kp+0], p.W[0*p.Kp+1])
-	}
-	// Row 1: denormal absmax still maps its own extremes to ±127 — the
-	// normalise-then-scale order avoids the underflow of absmax/127.
-	if p.W[1*p.Kp+0] != 127 || p.W[1*p.Kp+1] != -127 {
-		t.Fatalf("denormal weights quantized to %d,%d want 127,-127", p.W[1*p.Kp+0], p.W[1*p.Kp+1])
-	}
-	// Row 2: all-zero row gets scale 1 and zero weights.
-	if p.Scale[2] != 1 {
-		t.Fatalf("all-zero row scale = %v, want 1", p.Scale[2])
-	}
-	// Activation clamp: quantizing values far beyond the calibrated scale
-	// saturates at ±127, and the padded gutter stays zero.
-	dst := make([]int8, PadI8(2))
-	for i := range dst {
-		dst[i] = 99
-	}
-	QuantizeRows(dst, []float32{1e20, -1e20}, 1, 2, []float32{127, 127})
-	if dst[0] != 127 || dst[1] != -127 {
-		t.Fatalf("activation clamp got %d,%d want 127,-127", dst[0], dst[1])
-	}
-	for i := 2; i < len(dst); i++ {
-		if dst[i] != 0 {
-			t.Fatalf("padding gutter dst[%d] = %d, want 0", i, dst[i])
-		}
-	}
-}
-
-// TestPackedI8GemmParity checks the int8 GEMM against an exact integer
-// reference (the quantized dot products in int32 are exact, so the kernel
-// must match to the last bit) over block-tail shapes and K-prefix use,
-// under both the AVX2 and the scalar kernel. The {21,7} shape restricts the
-// GEMM to a K-prefix mid-row, where the zeroed activation gutter is what
-// keeps the out-of-prefix weights from leaking into the sums.
-func TestPackedI8GemmParity(t *testing.T) {
-	eachKernel(t, testPackedI8GemmParity)
-}
-
-func testPackedI8GemmParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, rows := range []int{0, 1, 2, 3, 5, 8} {
-		for _, out := range []int{1, 3, 4, 6, 9} {
-			for _, shape := range [][2]int{{7, 7}, {16, 16}, {33, 33}, {21, 7}} {
-				in, kUsed := shape[0], shape[1]
-				w := randRows(rng, out, in)
-				bias := randRows(rng, 1, out)
-				chanAbs := make([]float32, in)
-				for i := range chanAbs {
-					chanAbs[i] = 0.5 + rng.Float32()
-				}
-				p := PackI8(out, bias, []int{in}, chanAbs, w)
-				kq := PadI8(kUsed)
-				xq := make([]int8, rows*kq)
-				for i := range xq {
-					xq[i] = int8(rng.Intn(255) - 127)
-				}
-				for r := 0; r < rows; r++ {
-					for k := kUsed; k < kq; k++ {
-						xq[r*kq+k] = 0
-					}
-				}
-				ys := make([]float32, rows*out)
-				p.Gemm(xq, rows, kUsed, ys)
-				for r := 0; r < rows; r++ {
-					for o := 0; o < out; o++ {
-						var acc int32
-						for k := 0; k < kUsed; k++ {
-							acc += int32(xq[r*kq+k]) * int32(p.W[o*p.Kp+k])
-						}
-						want := p.Bias[o] + float32(acc)*p.Scale[o]
-						if ys[r*out+o] != want {
-							t.Fatalf("rows=%d out=%d in=%d kUsed=%d: y[%d][%d]=%v want %v",
-								rows, out, in, kUsed, r, o, ys[r*out+o], want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestMLPI8Quality checks the quantized MLP tracks the float64 reference
-// within the documented calibrated bound on in-calibration inputs.
-func TestMLPI8Quality(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	m := NewMLP([]int{13, 32, 17, 1}, true, rng)
-	m32 := NewMLPF32(m)
-	const rows = 16
-	xs := randRows(rng, rows, 13)
-	// Calibrate on the same distribution.
-	var a Arena32
-	obs := observersFor(m32)
-	m32.ForwardBatchObserve(toF32(xs), rows, &a, obs)
-	m8 := NewMLPI8(m, obs)
-	var qa ArenaI8
-	a.Reset()
-	got := m8.ForwardBatch(toF32(xs), rows, &a, &qa)
-	var a64 Arena
-	want := m.ForwardBatch(xs, rows, &a64)
-	for i := range want {
-		if e := relErr32(got[i], want[i]); e > 0.05 {
-			t.Fatalf("int8 out[%d]=%v want %v (rel err %g beyond calibrated bound)", i, got[i], want[i], e)
-		}
-	}
-}
-
 func BenchmarkGemm(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	const rows, out, in = 256, 32, 96
@@ -294,21 +147,6 @@ func BenchmarkGemm(b *testing.B) {
 		ys := make([]float32, rows*out)
 		for i := 0; i < b.N; i++ {
 			p.Gemm(xs32, rows, in, ys)
-		}
-	})
-	b.Run("int8-panels", func(b *testing.B) {
-		chanAbs := make([]float32, in)
-		inv := make([]float32, in)
-		AbsMaxCols(xs32, rows, in, chanAbs)
-		for i, a := range chanAbs {
-			inv[i] = 127 / a
-		}
-		p := PackI8(out, lin.B.Value, []int{in}, chanAbs, lin.W.Value)
-		xq := make([]int8, rows*PadI8(in))
-		QuantizeRows(xq, xs32, rows, in, inv)
-		ys := make([]float32, rows*out)
-		for i := 0; i < b.N; i++ {
-			p.Gemm(xq, rows, in, ys)
 		}
 	})
 }

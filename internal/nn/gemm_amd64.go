@@ -51,16 +51,6 @@ func detectAVX2FMA() bool {
 //go:noescape
 func gemmPanel8(x, w, y, bias *float32, rows, kUsed, xStride, yStride int, mask *int32)
 
-// gemmQuadI8 computes four int8 dot products sharing one activation row:
-//
-//	acc[j] = Σ_k x[k] · w[j·wStride + k]   for j = 0..3, k over blocks×16
-//
-// with exact int32 accumulation (VPMOVSXBW + VPMADDWD). wStride is in
-// bytes. Implemented in gemm_amd64.s.
-//
-//go:noescape
-func gemmQuadI8(x, w *int8, blocks, wStride int, acc *int32)
-
 // SetScalarGemmForTest forces (or restores) the portable scalar kernel, so
 // parity tests can exercise both code paths on AVX2 hardware. Returns the
 // previous setting. Test use only; not safe to flip concurrently with

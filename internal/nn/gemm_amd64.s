@@ -119,86 +119,3 @@ k1:
 done:
 	VZEROUPPER
 	RET
-
-// func gemmQuadI8(x, w *int8, blocks, wStride int, acc *int32)
-//
-// Int8 dot-product block for the quantized GEMM (see int8.go for the padded
-// row-major layout): acc[j] = Σ_k x[k] · w[j·wStride + k] for j = 0..3, over
-// blocks×16 bytes of k. Each step widens 16 int8 lanes to int16
-// (VPMOVSXBW), multiply-accumulates pairs into int32 (VPMADDWD), and one
-// x load feeds all four weight rows. Sums are exact: |products| ≤ 127², so
-// pairwise int32 accumulation cannot overflow for any realistic K.
-TEXT ·gemmQuadI8(SB), NOSPLIT, $0-40
-	MOVQ x+0(FP), SI
-	MOVQ w+8(FP), BX
-	MOVQ blocks+16(FP), CX
-	MOVQ wStride+24(FP), R9
-	MOVQ acc+32(FP), DI
-
-	// Weight row base pointers: BX, R10, R11, R12.
-	LEAQ  (BX)(R9*1), R10
-	LEAQ  (BX)(R9*2), R11
-	LEAQ  (R10)(R9*2), R12
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	XORQ  R15, R15           // byte offset along k
-
-blk:
-	VPMOVSXBW (SI)(R15*1), Y4
-	VPMOVSXBW (BX)(R15*1), Y5
-	VPMADDWD  Y4, Y5, Y5
-	VPADDD    Y5, Y0, Y0
-	VPMOVSXBW (R10)(R15*1), Y6
-	VPMADDWD  Y4, Y6, Y6
-	VPADDD    Y6, Y1, Y1
-	VPMOVSXBW (R11)(R15*1), Y7
-	VPMADDWD  Y4, Y7, Y7
-	VPADDD    Y7, Y2, Y2
-	VPMOVSXBW (R12)(R15*1), Y8
-	VPMADDWD  Y4, Y8, Y8
-	VPADDD    Y8, Y3, Y3
-	ADDQ      $16, R15
-	DECQ      CX
-	JNZ       blk
-
-	// Horizontal reduction: 8 int32 lanes -> 1 per accumulator.
-	VEXTRACTI128 $1, Y0, X4
-	VPADDD       X4, X0, X0
-	VPSHUFD      $0xEE, X0, X4
-	VPADDD       X4, X0, X0
-	VPSHUFD      $0x55, X0, X4
-	VPADDD       X4, X0, X0
-	VMOVD        X0, AX
-	MOVL         AX, (DI)
-
-	VEXTRACTI128 $1, Y1, X4
-	VPADDD       X4, X1, X1
-	VPSHUFD      $0xEE, X1, X4
-	VPADDD       X4, X1, X1
-	VPSHUFD      $0x55, X1, X4
-	VPADDD       X4, X1, X1
-	VMOVD        X1, AX
-	MOVL         AX, 4(DI)
-
-	VEXTRACTI128 $1, Y2, X4
-	VPADDD       X4, X2, X2
-	VPSHUFD      $0xEE, X2, X4
-	VPADDD       X4, X2, X2
-	VPSHUFD      $0x55, X2, X4
-	VPADDD       X4, X2, X2
-	VMOVD        X2, AX
-	MOVL         AX, 8(DI)
-
-	VEXTRACTI128 $1, Y3, X4
-	VPADDD       X4, X3, X3
-	VPSHUFD      $0xEE, X3, X4
-	VPADDD       X4, X3, X3
-	VPSHUFD      $0x55, X3, X4
-	VPADDD       X4, X3, X3
-	VMOVD        X3, AX
-	MOVL         AX, 12(DI)
-
-	VZEROUPPER
-	RET

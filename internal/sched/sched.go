@@ -1,116 +1,61 @@
-// Package sched implements the cross-request inference scheduler: a
-// micro-batching layer that accepts batched-scoring submissions from many
-// concurrent goroutines and coalesces their work against one immutable set
-// of value-network weights. PR 1 amortised inference *within* a search by
-// scoring all children of an expansion in one PredictBatch call; under
-// concurrent serving every search still pays its own private forward passes,
-// so serving N clients costs N independent pass streams over the same
-// weights. The scheduler is the serving-scale analogue of the paper's GPU
-// batching (Section 4.2 / 6.3), and coalesces on two levels:
+// Package sched implements the per-snapshot score memo that fused scoring
+// routes every search's batched-scoring submissions through. Scores are
+// cached per row, keyed by a 128-bit hash of the row's exact encoded values,
+// for the lifetime of the scheduler's backend. Concurrent searches for the
+// same hot query — the plan-cache-stampede window right after a retraining
+// round empties the plan cache — submit thousands of identical rows; each
+// distinct row is scored once and every duplicate (within one submission or
+// across submissions) is served from the cache.
 //
-//   - Fusion (max-batch-size, max-linger policy): submissions that arrive
-//     close together in time are fused into one shared forward pass. A
-//     submission runs immediately once the fused batch reaches MaxBatch
-//     rows, or after the Linger deadline otherwise. The linger is paid only
-//     when it can pay off: the scheduler lingers only if another submission
-//     was observed in flight within the last companionWindow, so a search
-//     running alone never waits and an idle server's fusion tax is zero —
-//     while on a busy server the linger's sleep is exactly what lets the
-//     other searches reach their own submission points and pile on.
-//
-//   - Memoisation: scores are cached per row, keyed by a 128-bit hash of
-//     the row's exact encoded values, for the lifetime of the scheduler's
-//     backend. Concurrent searches for the same hot query — the
-//     plan-cache-stampede window right after a retraining round empties the
-//     plan cache — submit thousands of identical rows; each distinct row is
-//     scored once and every duplicate (within one fused pass or across
-//     passes) is served from the cache. Because the backend is immutable
-//     and the batch kernels compute every row independently in a fixed
-//     order, a cached score is the same float64, bit for bit, that a fresh
-//     pass would produce.
-//
-// Per-caller results are scattered back in submission order, so every search
-// remains bit-identical to running against the raw network no matter how its
-// submissions were fused, deduplicated, or served from cache.
+// A submission hashes its rows, answers cached rows and in-submission
+// duplicates, and runs the remaining distinct rows in one PredictBatch call
+// on the caller's goroutine. Because the backend is immutable and the batch
+// kernels compute every row independently in a fixed order, a cached score
+// is the same float64, bit for bit, that a fresh pass would produce, so
+// every search stays bit-identical to running against the raw network.
 //
 // Lifecycle: a Scheduler is pinned to one immutable backend (a value-network
 // snapshot). When a retraining round publishes new weights, the owner
-// creates a fresh Scheduler for the new snapshot and Closes the old one —
-// Close flushes the pending batch against the old backend and turns every
-// later submission into a direct (unfused) backend call, so scores from
-// different weight sets can never share one fused pass or one cache, and
-// searches pinned to the old snapshot drain without blocking the swap.
+// creates a fresh Scheduler for the new snapshot, so one cache never mixes
+// scores from two weight sets; searches still pinned to the old snapshot
+// keep using the old scheduler, which needs no draining.
 package sched
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"neo/internal/treeconv"
 )
 
-// Backend is the shared forward pass submissions are fused into.
-// *valuenet.Snapshot (and *valuenet.Network) satisfy it; it must be safe for
-// concurrent use, immutable for the scheduler's lifetime, and must compute
-// each row independently of its batch neighbours (which the repo's batch
-// kernels guarantee — see ARCHITECTURE.md).
+// Backend is the forward pass cache misses run through. *valuenet.Snapshot
+// (and *valuenet.Network) satisfy it; it must be safe for concurrent use,
+// immutable for the scheduler's lifetime, and must compute each row
+// independently of its batch neighbours (which the repo's batch kernels
+// guarantee — see ARCHITECTURE.md).
 type Backend interface {
 	PredictBatch(queries [][]float64, forests [][]*treeconv.Tree) []float64
 }
 
-// DefaultMaxBatch caps the rows of one fused forward pass when Options
-// leaves MaxBatch zero. 64 comfortably holds several expansion-sized
-// submissions while keeping the pass within the batch sizes the kernels
-// were tuned at.
-const DefaultMaxBatch = 64
-
-// DefaultLinger bounds how long a submission waits for companions when
-// Options leaves Linger zero: long enough for concurrent searches to pile
-// on, far below any request latency budget.
-const DefaultLinger = 200 * time.Microsecond
-
-// DefaultCacheRows bounds the per-snapshot score cache when Options leaves
-// CacheRows zero (entries are ~40 bytes, so the default costs a few MB).
+// DefaultCacheRows bounds the per-snapshot score cache (entries are ~40
+// bytes, so the bound costs a few MB).
 const DefaultCacheRows = 1 << 16
-
-// companionWindow is how long the memory of "another submission was in
-// flight" lasts. Within it, a leader lingers for companions; past it, the
-// scheduler assumes it is serving a lone search and flushes immediately.
-// Generous relative to the linger so that bursty concurrency on a single
-// core — where overlap is only observable at preemption points — still
-// sustains fusion between bursts.
-const companionWindow = 10 * time.Millisecond
 
 // Options tunes a Scheduler.
 type Options struct {
-	// MaxBatch is the row cap of one fused forward pass; a submission that
-	// fills the batch runs immediately. Zero selects DefaultMaxBatch. A
-	// single submission larger than MaxBatch still runs in one pass —
-	// submissions are never split.
-	MaxBatch int
-	// Linger is the longest a submission waits to be fused before the
-	// pending batch runs anyway. Zero selects DefaultLinger.
-	Linger time.Duration
-	// CacheRows bounds the score-memoisation cache (zero selects
-	// DefaultCacheRows, negative disables caching).
-	CacheRows int
 	// Counters, when non-nil, aggregates statistics across this scheduler's
 	// lifetime — and, because the owner passes the same Counters to every
 	// successor scheduler, across snapshot swaps too.
 	Counters *Counters
 }
 
-// Counters aggregates fusion statistics. All methods are safe for concurrent
-// use; one Counters instance is typically shared by the whole chain of
-// schedulers a Neo creates across snapshot swaps, so /stats counters are
-// monotonic over the process lifetime.
+// Counters aggregates scoring statistics. All methods are safe for
+// concurrent use; one Counters instance is typically shared by the whole
+// chain of schedulers a Neo creates across snapshot swaps, so /stats
+// counters are monotonic over the process lifetime.
 type Counters struct {
-	batches     atomic.Uint64 // shared forward passes executed
-	fused       atomic.Uint64 // passes that carried >= 2 submissions
-	passSubs    atomic.Uint64 // submissions that rode an executed pass
+	batches     atomic.Uint64 // backend forward passes executed
 	submissions atomic.Uint64
 	rows        atomic.Uint64
 	cacheHits   atomic.Uint64 // rows answered without backend work
@@ -121,107 +66,58 @@ type Stats struct {
 	// Enabled reports whether fused scoring is configured at all (set by the
 	// owner; a zero Counters reports false).
 	Enabled bool `json:"enabled"`
-	// Batches counts shared forward passes executed through schedulers.
+	// Batches counts backend forward passes executed through schedulers.
 	Batches uint64 `json:"batches"`
-	// FusedBatches counts passes that fused two or more submissions.
+	// FusedBatches is always zero.
+	//
+	// Deprecated: submissions are no longer fused across requests; the
+	// field is kept so /stats keeps its shape.
 	FusedBatches uint64 `json:"fused_batches"`
 	// Submissions counts ScoreBatch-level submissions accepted.
 	Submissions uint64 `json:"submissions"`
 	// Rows counts individual plans submitted for scoring.
 	Rows uint64 `json:"rows"`
-	// CacheHits counts rows answered by memoisation or in-pass
+	// CacheHits counts rows answered by memoisation or in-submission
 	// deduplication instead of backend compute.
 	CacheHits uint64 `json:"cache_hits"`
-	// AvgFusedSize is the mean number of submissions per executed pass
-	// (submissions fully served from cache never reach a pass).
+	// AvgFusedSize is always zero.
+	//
+	// Deprecated: submissions are no longer fused across requests; the
+	// field is kept so /stats keeps its shape.
 	AvgFusedSize float64 `json:"avg_fused_size"`
 }
 
 // Stats returns the current counter values.
 func (c *Counters) Stats() Stats {
-	s := Stats{
-		Batches:      c.batches.Load(),
-		FusedBatches: c.fused.Load(),
-		Submissions:  c.submissions.Load(),
-		Rows:         c.rows.Load(),
-		CacheHits:    c.cacheHits.Load(),
+	return Stats{
+		Batches:     c.batches.Load(),
+		Submissions: c.submissions.Load(),
+		Rows:        c.rows.Load(),
+		CacheHits:   c.cacheHits.Load(),
 	}
-	if s.Batches > 0 {
-		s.AvgFusedSize = float64(c.passSubs.Load()) / float64(s.Batches)
-	}
-	return s
 }
 
-// submission is one caller's ScoreBatch waiting to be fused. The caller
-// blocks on done; the flusher writes out before closing done, so the channel
-// close publishes the results. Rows already resolved by the submit-time
-// cache probe carry their scores in out with resolved set, so the flusher
-// never re-probes them.
-type submission struct {
-	queries  [][]float64
-	forests  [][]*treeconv.Tree
-	keys     []rowKey
-	out      []float64
-	resolved []bool
-	taken    bool // owned by Scheduler.mu: set once the submission left pending
-	done     chan struct{}
-}
-
-// Scheduler coalesces concurrent PredictBatch submissions against one fixed
-// backend. Safe for concurrent use. It runs no background goroutine: the
-// caller that fills the batch — or whose linger deadline fires first —
-// executes the fused pass on behalf of everyone in it, so an abandoned
-// Scheduler costs nothing and needs no finalisation beyond Close.
+// Scheduler memoises PredictBatch scores against one fixed backend. Safe for
+// concurrent use. It runs no background goroutine, so an abandoned Scheduler
+// costs nothing and needs no finalisation.
 type Scheduler struct {
 	backend  Backend
-	maxBatch int
-	linger   time.Duration
 	counters *Counters
 
-	// active counts goroutines currently inside PredictBatch (including the
-	// one executing the backend pass); lastCompanion is the UnixNano of the
-	// last moment two of them overlapped. Together they drive the
-	// linger-only-when-it-can-pay-off policy.
-	active        atomic.Int64
-	lastCompanion atomic.Int64
-
-	mu          sync.Mutex
-	closed      bool          // guarded by mu
-	pending     []*submission // guarded by mu
-	pendingRows int           // guarded by mu
-
-	// cache memoises row scores for the backend's lifetime. cacheCap <= 0
-	// disables it.
-	cacheMu  sync.Mutex
-	cache    map[rowKey]float64 // guarded by cacheMu
-	cacheCap int
+	mu    sync.Mutex
+	cache map[rowKey]float64 // guarded by mu
 }
 
 // New creates a scheduler over a fixed backend.
 func New(backend Backend, opts Options) *Scheduler {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = DefaultMaxBatch
-	}
-	if opts.Linger <= 0 {
-		opts.Linger = DefaultLinger
-	}
-	if opts.CacheRows == 0 {
-		opts.CacheRows = DefaultCacheRows
-	}
 	if opts.Counters == nil {
 		opts.Counters = &Counters{}
 	}
-	s := &Scheduler{
+	return &Scheduler{
 		backend:  backend,
-		maxBatch: opts.MaxBatch,
-		linger:   opts.Linger,
 		counters: opts.Counters,
-		cacheCap: opts.CacheRows,
+		cache:    make(map[rowKey]float64),
 	}
-	if s.cacheCap > 0 {
-		s.cache = make(map[rowKey]float64)
-	}
-	return s
 }
 
 // Counters returns the scheduler's (possibly shared) statistics counters.
@@ -286,30 +182,13 @@ func (k rowKey) mix(x uint64) rowKey {
 	return rowKey{hi: hi, lo: lo}
 }
 
-// lookupCached fills out[i] for every row whose score is memoised and
-// reports how many rows remain unresolved. Callers hold no locks.
-func (s *Scheduler) lookupCached(keys []rowKey, out []float64, resolved []bool) int {
-	missing := 0
-	s.cacheMu.Lock()
-	for i, k := range keys {
-		if v, ok := s.cache[k]; ok {
-			out[i] = v
-			resolved[i] = true
-		} else {
-			missing++
-		}
-	}
-	s.cacheMu.Unlock()
-	return missing
-}
-
 // storeCached inserts freshly computed scores, evicting arbitrary entries
 // once the cap is reached (cheap, and the cache dies with its snapshot on
 // the next retraining swap anyway).
 func (s *Scheduler) storeCached(keys []rowKey, scores []float64) {
-	s.cacheMu.Lock()
+	s.mu.Lock()
 	for i, k := range keys {
-		if _, exists := s.cache[k]; !exists && len(s.cache) >= s.cacheCap {
+		if _, exists := s.cache[k]; !exists && len(s.cache) >= DefaultCacheRows {
 			for victim := range s.cache {
 				delete(s.cache, victim)
 				break
@@ -317,13 +196,13 @@ func (s *Scheduler) storeCached(keys []rowKey, scores []float64) {
 		}
 		s.cache[k] = scores[i]
 	}
-	s.cacheMu.Unlock()
+	s.mu.Unlock()
 }
 
-// PredictBatch submits one batch of encoded (query, forest) rows and blocks
-// until its scores are available — fused with whatever other submissions
-// were in flight, deduplicated against identical rows, and memoised for the
-// backend's lifetime. It has the exact signature and semantics of the
+// PredictBatch scores one batch of encoded (query, forest) rows: memoised
+// rows and duplicates within the batch are answered without backend work,
+// and the remaining distinct rows run through the backend in one pass on
+// the caller's goroutine. It has the exact signature and semantics of the
 // backend's PredictBatch — same scores, bit for bit — so callers treat a
 // Scheduler as a drop-in predictor. The returned slice is owned by the
 // caller.
@@ -332,250 +211,55 @@ func (s *Scheduler) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree
 	if rows == 0 {
 		return nil
 	}
-	if s.active.Add(1) > 1 {
-		s.lastCompanion.Store(time.Now().UnixNano())
-	}
-	defer s.active.Add(-1)
 	s.counters.submissions.Add(1)
 	s.counters.rows.Add(uint64(rows))
 
-	// Memoisation fast path: hash every row and probe the cache once. A
-	// fully-resolved submission — a stampeding hot query after its first
-	// search — returns without touching the scheduler (or the linger) at
-	// all; a partially-resolved one carries its probe results along so the
-	// flusher only has to deal with the rows that actually missed.
+	keys := make([]rowKey, rows)
+	for i := range queries {
+		keys[i] = hashRow(queries[i], forests[i])
+	}
+
+	// rowMap maps each row to its index in the deduplicated to-score list,
+	// or -1 when the row was answered from the cache.
 	var (
-		keys     []rowKey
-		out      []float64
-		resolved []bool
+		out     = make([]float64, rows)
+		rowMap  = make([]int, rows)
+		uniq    = make(map[rowKey]int, rows)
+		missQ   [][]float64
+		missF   [][]*treeconv.Tree
+		missKey []rowKey
 	)
-	if s.cacheCap > 0 {
-		keys = make([]rowKey, rows)
-		for i := range queries {
-			keys[i] = hashRow(queries[i], forests[i])
-		}
-		out = make([]float64, rows)
-		resolved = make([]bool, rows)
-		missing := s.lookupCached(keys, out, resolved)
-		s.counters.cacheHits.Add(uint64(rows - missing))
-		if missing == 0 {
-			return out
-		}
-	}
-
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		// Drained scheduler (its snapshot was swapped away): run the rows
-		// directly against the pinned backend, unfused. Same weights, same
-		// result.
-		sub := &submission{queries: queries, forests: forests, keys: keys, out: out, resolved: resolved}
-		s.run([]*submission{sub})
-		return sub.out
+	for i, k := range keys {
+		if v, ok := s.cache[k]; ok {
+			out[i] = v
+			rowMap[i] = -1
+		} else if ui, ok := uniq[k]; ok {
+			rowMap[i] = ui
+		} else {
+			ui := len(missQ)
+			uniq[k] = ui
+			rowMap[i] = ui
+			missQ = append(missQ, queries[i])
+			missF = append(missF, forests[i])
+			missKey = append(missKey, k)
+		}
 	}
-	sub := &submission{queries: queries, forests: forests, keys: keys, out: out, resolved: resolved, done: make(chan struct{})}
-	s.pending = append(s.pending, sub)
-	s.pendingRows += rows
-	if len(s.pending) > 1 {
-		s.lastCompanion.Store(time.Now().UnixNano())
-	}
-	if s.pendingRows >= s.maxBatch {
-		batch := s.takeLocked()
-		s.mu.Unlock()
-		s.run(batch)
-		return sub.out
-	}
-	leader := len(s.pending) == 1
 	s.mu.Unlock()
-
-	if !leader {
-		// A leader is already collecting the batch (or a batch-filler is
-		// about to run us); wait for the scatter.
-		<-sub.done
-		return sub.out
+	if hits := rows - len(missQ); hits > 0 {
+		s.counters.cacheHits.Add(uint64(hits))
+	}
+	if len(missQ) == 0 {
+		return out
 	}
 
-	// First pending submission: this goroutine collects companions, in two
-	// stages. Stage one yields the processor a few times: on a saturated
-	// machine the runnable concurrent searches advance straight to their own
-	// submission points and pile onto the batch with zero idle time (on a
-	// single core this cascade is the only way overlap can form at all);
-	// the loop stops as soon as a yield round adds no rows. Stage two — only
-	// if nothing joined but other submissions were observed in flight within
-	// the last companionWindow — waits out the linger deadline for searches
-	// mid-expansion on other cores. A search running alone passes through
-	// both stages instantly: yields return immediately with no other
-	// runnable goroutine, and without recent companionship there is no
-	// linger, so an uncontended search never waits.
-	joined := false
-	prevRows := rows
-	for i := 0; i < 8; i++ {
-		runtime.Gosched()
-		s.mu.Lock()
-		if sub.taken {
-			s.mu.Unlock()
-			<-sub.done
-			return sub.out
-		}
-		cur := s.pendingRows
-		s.mu.Unlock()
-		if cur == prevRows {
-			break
-		}
-		prevRows = cur
-		joined = true
-	}
-	if !joined && time.Since(time.Unix(0, s.lastCompanion.Load())) <= companionWindow {
-		timer := time.NewTimer(s.linger)
-		select {
-		case <-sub.done:
-			timer.Stop()
-			return sub.out
-		case <-timer.C:
+	scores := s.backend.PredictBatch(missQ, missF)
+	for i, ui := range rowMap {
+		if ui >= 0 {
+			out[i] = scores[ui]
 		}
 	}
-	s.mu.Lock()
-	if sub.taken {
-		// Someone else (a batch-filler or Close) claimed the pending list
-		// between the deadline firing and us reacquiring the lock.
-		s.mu.Unlock()
-		<-sub.done
-		return sub.out
-	}
-	batch := s.takeLocked()
-	s.mu.Unlock()
-	s.run(batch)
-	return sub.out
-}
-
-// takeLocked claims the whole pending list. Callers must hold mu.
-func (s *Scheduler) takeLocked() []*submission {
-	batch := s.pending
-	s.pending = nil
-	s.pendingRows = 0
-	for _, b := range batch {
-		b.taken = true
-	}
-	return batch
-}
-
-// run executes one coalesced forward pass for the batch: rows already
-// memoised (or repeated within the batch) are resolved without backend work,
-// the remaining distinct rows run through the backend in one fused pass, and
-// per-caller results are scattered back in submission order.
-func (s *Scheduler) run(batch []*submission) {
-	total := 0
-	for _, b := range batch {
-		total += len(b.queries)
-		if b.out == nil {
-			b.out = make([]float64, len(b.queries))
-		}
-	}
-
-	// rowMap maps each flat row of the batch (submissions in order) to its
-	// index in the deduplicated to-score list, or -1 when the row was
-	// already resolved from the cache. One flat index array keeps the
-	// scatter allocation-light no matter how many duplicates a stampede
-	// packs into one pass.
-	var (
-		queries = make([][]float64, 0, total)
-		forests = make([][]*treeconv.Tree, 0, total)
-		keys    = make([]rowKey, 0, total)
-		rowMap  = make([]int, total)
-		hits    uint64
-	)
-	if s.cacheCap > 0 {
-		uniq := make(map[rowKey]int, total)
-		flat := 0
-		s.cacheMu.Lock()
-		for _, b := range batch {
-			for ri := range b.queries {
-				if b.resolved[ri] {
-					// Scored by the submit-time probe (and already counted
-					// as a hit there).
-					rowMap[flat] = -1
-					flat++
-					continue
-				}
-				k := b.keys[ri]
-				if v, ok := s.cache[k]; ok {
-					b.out[ri] = v
-					rowMap[flat] = -1
-					hits++
-				} else if ui, ok := uniq[k]; ok {
-					rowMap[flat] = ui
-					hits++
-				} else {
-					ui := len(queries)
-					uniq[k] = ui
-					rowMap[flat] = ui
-					queries = append(queries, b.queries[ri])
-					forests = append(forests, b.forests[ri])
-					keys = append(keys, k)
-				}
-				flat++
-			}
-		}
-		s.cacheMu.Unlock()
-	} else {
-		flat := 0
-		for _, b := range batch {
-			for ri := range b.queries {
-				rowMap[flat] = flat
-				queries = append(queries, b.queries[ri])
-				forests = append(forests, b.forests[ri])
-				flat++
-			}
-		}
-	}
-
-	if len(queries) > 0 {
-		scores := s.backend.PredictBatch(queries, forests)
-		flat := 0
-		for _, b := range batch {
-			for ri := range b.queries {
-				if ui := rowMap[flat]; ui >= 0 {
-					b.out[ri] = scores[ui]
-				}
-				flat++
-			}
-		}
-		if s.cacheCap > 0 {
-			s.storeCached(keys, scores)
-		}
-		s.counters.batches.Add(1)
-		s.counters.passSubs.Add(uint64(len(batch)))
-		if len(batch) >= 2 {
-			s.counters.fused.Add(1)
-		}
-	}
-	if hits > 0 {
-		s.counters.cacheHits.Add(hits)
-	}
-	for _, b := range batch {
-		if b.done != nil {
-			close(b.done)
-		}
-	}
-}
-
-// Close drains the scheduler: the pending batch (if any) runs against the
-// backend, and every subsequent PredictBatch bypasses fusion with a direct
-// backend call (the memoisation cache stays valid — it is pinned to the same
-// immutable weights). Owners call it right after swapping in a successor
-// scheduler for a new network snapshot, which is what guarantees one fused
-// pass — and one cache — never mixes scores from two weight sets. Safe to
-// call more than once, and safe concurrently with in-flight submissions.
-func (s *Scheduler) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	batch := s.takeLocked()
-	s.mu.Unlock()
-	if len(batch) > 0 {
-		s.run(batch)
-	}
+	s.storeCached(missKey, scores)
+	s.counters.batches.Add(1)
+	return out
 }

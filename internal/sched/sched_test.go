@@ -6,26 +6,19 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"neo/internal/treeconv"
 )
 
 // fakeBackend scores each row independently and deterministically (query sum
 // scaled, plus the forest's node count), mimicking the row-independence the
-// real batch kernels guarantee. It also records the row count of every pass
-// it executes.
+// real batch kernels guarantee. It also counts the passes it executes.
 type fakeBackend struct {
-	mu      sync.Mutex
-	batches []int
-	calls   atomic.Int64
+	calls atomic.Int64
 }
 
 func (f *fakeBackend) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
 	f.calls.Add(1)
-	f.mu.Lock()
-	f.batches = append(f.batches, len(queries))
-	f.mu.Unlock()
 	out := make([]float64, len(queries))
 	for i, q := range queries {
 		sum := 0.0
@@ -39,12 +32,6 @@ func (f *fakeBackend) PredictBatch(queries [][]float64, forests [][]*treeconv.Tr
 		out[i] = sum*10 + float64(nodes)
 	}
 	return out
-}
-
-func (f *fakeBackend) recorded() []int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]int(nil), f.batches...)
 }
 
 // randomSubmission builds a deterministic pseudo-random (queries, forests)
@@ -72,7 +59,7 @@ func randomSubmission(rng *rand.Rand, rows int) ([][]float64, [][]*treeconv.Tree
 func TestFusedMatchesDirect(t *testing.T) {
 	backend := &fakeBackend{}
 	direct := &fakeBackend{}
-	s := New(backend, Options{MaxBatch: 16, Linger: 100 * time.Microsecond})
+	s := New(backend, Options{})
 
 	const goroutines = 8
 	const iters = 50
@@ -116,128 +103,6 @@ func TestFusedMatchesDirect(t *testing.T) {
 	if st.Batches == 0 || st.Batches > st.Submissions {
 		t.Errorf("implausible batch count %d for %d submissions", st.Batches, st.Submissions)
 	}
-	if st.Batches > 0 && st.AvgFusedSize <= 0 {
-		t.Errorf("avg fused size should be positive, got %v", st.AvgFusedSize)
-	}
-}
-
-// TestLoneSubmissionSkipsLinger: with nobody else in flight there is nothing
-// to fuse with, so a submission must return immediately — not after the
-// linger deadline. The deliberately enormous linger turns a regression into a
-// hang-scale slowdown this test catches by wall clock.
-func TestLoneSubmissionSkipsLinger(t *testing.T) {
-	backend := &fakeBackend{}
-	s := New(backend, Options{MaxBatch: 64, Linger: 5 * time.Second})
-	rng := rand.New(rand.NewSource(7))
-	queries, forests := randomSubmission(rng, 3)
-	start := time.Now()
-	out := s.PredictBatch(queries, forests)
-	elapsed := time.Since(start)
-	if len(out) != 3 {
-		t.Fatalf("got %d scores, want 3", len(out))
-	}
-	if elapsed > time.Second {
-		t.Fatalf("lone submission took %v; it must not wait for the 5s linger", elapsed)
-	}
-}
-
-// TestConcurrentSubmissionsBoundedByLinger: under concurrency a submission
-// waits at most about the linger deadline before its batch runs, even when
-// the fused batch never fills — the linger is a deadline, not a precondition.
-func TestConcurrentSubmissionsBoundedByLinger(t *testing.T) {
-	backend := &fakeBackend{}
-	const linger = 50 * time.Millisecond
-	s := New(backend, Options{MaxBatch: 1 << 20, Linger: linger})
-
-	const goroutines = 4
-	var ready, wg sync.WaitGroup
-	ready.Add(goroutines)
-	gate := make(chan struct{})
-	elapsed := make([]time.Duration, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g) + 100))
-			queries, forests := randomSubmission(rng, 2)
-			ready.Done()
-			<-gate
-			start := time.Now()
-			s.PredictBatch(queries, forests)
-			elapsed[g] = time.Since(start)
-		}(g)
-	}
-	ready.Wait()
-	close(gate)
-	wg.Wait()
-	for g, e := range elapsed {
-		// Generous slack for slow CI: the point is "about one linger", not
-		// "forever" (a huge MaxBatch must not stall submissions).
-		if e > linger+2*time.Second {
-			t.Errorf("goroutine %d waited %v, want <= ~%v", g, e, linger)
-		}
-	}
-}
-
-// TestMaxBatchTriggersImmediateFlush: a submission that fills the batch must
-// run without waiting for the linger.
-func TestMaxBatchTriggersImmediateFlush(t *testing.T) {
-	backend := &fakeBackend{}
-	s := New(backend, Options{MaxBatch: 4, Linger: 5 * time.Second})
-	rng := rand.New(rand.NewSource(11))
-	queries, forests := randomSubmission(rng, 4)
-	start := time.Now()
-	s.PredictBatch(queries, forests)
-	if e := time.Since(start); e > time.Second {
-		t.Fatalf("batch-filling submission took %v; must flush immediately", e)
-	}
-	if got := backend.recorded(); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("backend saw batches %v, want one pass of 4 rows", got)
-	}
-}
-
-// TestCloseDrainsAndFallsBack: Close must flush pending work against the old
-// backend, and later submissions must still be answered (directly, unfused).
-func TestCloseDrainsAndFallsBack(t *testing.T) {
-	backend := &fakeBackend{}
-	direct := &fakeBackend{}
-	s := New(backend, Options{MaxBatch: 64, Linger: time.Millisecond})
-
-	var wg sync.WaitGroup
-	const goroutines = 6
-	results := make([][]float64, goroutines)
-	wants := make([][]float64, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g) + 500))
-			queries, forests := randomSubmission(rng, 2)
-			results[g] = s.PredictBatch(queries, forests)
-			wants[g] = direct.PredictBatch(queries, forests)
-		}(g)
-	}
-	s.Close()
-	wg.Wait()
-	for g := range results {
-		for r := range wants[g] {
-			if results[g][r] != wants[g][r] {
-				t.Errorf("goroutine %d row %d: %v != %v across Close", g, r, results[g][r], wants[g][r])
-			}
-		}
-	}
-
-	// Post-close submissions bypass fusion but still score correctly.
-	rng := rand.New(rand.NewSource(999))
-	queries, forests := randomSubmission(rng, 3)
-	got := s.PredictBatch(queries, forests)
-	want := direct.PredictBatch(queries, forests)
-	for r := range want {
-		if got[r] != want[r] {
-			t.Errorf("post-close row %d: %v != %v", r, got[r], want[r])
-		}
-	}
-	s.Close() // idempotent
 }
 
 // TestEmptySubmission returns nil without touching the backend.
@@ -262,12 +127,10 @@ func TestSharedCountersAcrossSchedulers(t *testing.T) {
 	s1 := New(backend, Options{Counters: counters})
 	q, f := randomSubmission(rng, 2)
 	s1.PredictBatch(q, f)
-	s1.Close()
 
 	s2 := New(backend, Options{Counters: counters})
 	q, f = randomSubmission(rng, 3)
 	s2.PredictBatch(q, f)
-	s2.Close()
 
 	st := counters.Stats()
 	if st.Submissions != 2 || st.Rows != 5 {
@@ -280,7 +143,7 @@ func TestSharedCountersAcrossSchedulers(t *testing.T) {
 // backend exactly once and served bit-identically from then on.
 func TestMemoisedDuplicateRows(t *testing.T) {
 	backend := &fakeBackend{}
-	s := New(backend, Options{MaxBatch: 64, Linger: time.Millisecond})
+	s := New(backend, Options{})
 	rng := rand.New(rand.NewSource(21))
 	queries, forests := randomSubmission(rng, 4)
 
@@ -326,27 +189,5 @@ func TestMemoisedDuplicateRows(t *testing.T) {
 	want := backend.PredictBatch([][]float64{queries[0]}, deep)
 	if fresh[0] != want[len(want)-1] {
 		t.Errorf("structurally distinct row served a stale score: %v != %v", fresh[0], want[len(want)-1])
-	}
-}
-
-// TestCacheDisabled: a negative CacheRows turns memoisation off — every
-// submission reaches the backend.
-func TestCacheDisabled(t *testing.T) {
-	backend := &fakeBackend{}
-	s := New(backend, Options{CacheRows: -1, Linger: time.Millisecond})
-	rng := rand.New(rand.NewSource(31))
-	queries, forests := randomSubmission(rng, 2)
-	a := s.PredictBatch(queries, forests)
-	b := s.PredictBatch(queries, forests)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d unstable without cache: %v vs %v", i, a[i], b[i])
-		}
-	}
-	if got := backend.calls.Load(); got != 2 {
-		t.Errorf("cache disabled but backend saw %d passes, want 2", got)
-	}
-	if st := s.Counters().Stats(); st.CacheHits != 0 {
-		t.Errorf("cache hits %d with caching disabled", st.CacheHits)
 	}
 }

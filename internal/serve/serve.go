@@ -474,17 +474,16 @@ type Stats struct {
 	LastTrainLoss float64            `json:"last_train_loss"`
 	Checkpoints   uint64             `json:"checkpoints"`
 	PlanCache     neo.PlanCacheStats `json:"plan_cache"`
-	// Fusion reports the cross-request inference scheduler shared by all
-	// in-flight /optimize searches: fused_batches counts forward passes that
-	// carried submissions from two or more searches, avg_fused_size the mean
-	// submissions per pass. All-zero (enabled=false) when the system was
-	// opened without fused scoring.
+	// Fusion reports the score memo shared by all in-flight /optimize
+	// searches: batches counts forward passes run for cache misses,
+	// cache_hits the rows answered without one. fused_batches and
+	// avg_fused_size are deprecated and always zero. All-zero
+	// (enabled=false) when the system was opened without fused scoring.
 	Fusion neo.FusionStats `json:"fusion"`
 	// Snapshot reports the serving snapshot's scoring precision and memory
-	// footprint: "float64" is the exact training format, "float32"/"int8"
-	// are the packed inference-kernel formats converted once per snapshot
-	// publication (see the -score-precision flag). An int8 deployment shows
-	// "float32" until a retrain gives it calibration material.
+	// footprint: "float64" is the exact training format, "float32" the
+	// packed inference-kernel format converted once per snapshot
+	// publication (see the -score-precision flag).
 	Snapshot neo.SnapshotInfo `json:"snapshot"`
 	// Storage reports the disk backend's buffer-pool counters — hit rate,
 	// evictions, bytes read from the heap files. Omitted (nil) when the

@@ -379,9 +379,9 @@ func fusedSystem(t testing.TB) (*neo.System, []*neo.Query) {
 
 // TestServeFusedScoring drives concurrent /optimize requests for distinct
 // query structures (distinct predicate literals defeat the plan cache, so
-// every request really searches) through one shared scheduler and checks
-// that /stats reports the fusion: shared passes happened, and the counters
-// are internally consistent.
+// every request really searches) through one shared score memo and checks
+// that /stats reports the scoring: passes happened, and the counters are
+// internally consistent.
 func TestServeFusedScoring(t *testing.T) {
 	sys, _ := fusedSystem(t)
 	srv := New(sys, Config{})
@@ -399,9 +399,7 @@ func TestServeFusedScoring(t *testing.T) {
 		}
 	}
 
-	// Fusion needs submissions to overlap in time; retry a few rounds so the
-	// assertion is robust on slow single-core CI rather than timing-lucky.
-	for round := 0; round < 10; round++ {
+	for round := 0; round < 2; round++ {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -414,9 +412,6 @@ func TestServeFusedScoring(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		if srv.snapshotStats().Fusion.FusedBatches > 0 {
-			break
-		}
 	}
 
 	st := getStats(t, ts.URL)
@@ -426,13 +421,7 @@ func TestServeFusedScoring(t *testing.T) {
 	if st.Fusion.Submissions == 0 || st.Fusion.Batches == 0 {
 		t.Fatalf("no scoring reached the scheduler: %+v", st.Fusion)
 	}
-	if st.Fusion.FusedBatches < 1 {
-		t.Errorf("80 concurrent searches produced no fused pass: %+v", st.Fusion)
-	}
 	if st.Fusion.Batches > st.Fusion.Submissions || st.Fusion.Rows < st.Fusion.Submissions {
 		t.Errorf("fusion counters inconsistent: %+v", st.Fusion)
-	}
-	if st.Fusion.AvgFusedSize < 1 {
-		t.Errorf("avg fused size %v < 1 with nonzero batches", st.Fusion.AvgFusedSize)
 	}
 }

@@ -1,4 +1,4 @@
-// Float32 (and int8) batched tree convolution for the frozen inference path.
+// Float32 batched tree convolution for the frozen inference path.
 // The float64 batched kernels in batch.go walk node-by-node, dotting each
 // parent/left/right triangle against row-major weights; the kernels here
 // restructure the same computation as GEMMs over packed panels (nn.PackedF32)
@@ -14,9 +14,6 @@
 //     full K;
 //   - outputs scatter back to node order and the leaky rectifier runs once
 //     over the whole activation matrix.
-//
-// The int8 stack mirrors the float32 one, quantizing each layer's input
-// tensor with a calibrated per-layer scale before the int8 GEMM.
 package treeconv
 
 import (
@@ -96,23 +93,21 @@ func (bb *BatchBuilder32) addTree(t *Tree, sample int, fill func(sample int, nod
 	return i
 }
 
-// BatchScratch32 holds the reusable storage of a float32 (or int8) stack
-// forward: the activation arena, the quantized-activation arena, the
-// leaf/interior node partition of the current batch, and the ping-pong batch
-// headers. Not safe for concurrent use; keep one per goroutine.
+// BatchScratch32 holds the reusable storage of a float32 stack forward: the
+// activation arena, the leaf/interior node partition of the current batch,
+// and the ping-pong batch headers. Not safe for concurrent use; keep one per
+// goroutine.
 type BatchScratch32 struct {
-	Arena  nn.Arena32
-	QArena nn.ArenaI8
-	leaf   []int // node indices with no children
-	full   []int // node indices with at least one child
-	ping   Batch32
-	pong   Batch32
+	Arena nn.Arena32
+	leaf  []int // node indices with no children
+	full  []int // node indices with at least one child
+	ping  Batch32
+	pong  Batch32
 }
 
 // Reset recycles the scratch for the next forward pass.
 func (s *BatchScratch32) Reset() {
 	s.Arena.Reset()
-	s.QArena.Reset()
 }
 
 // partition splits the batch's nodes into leaves and interior nodes once per
@@ -174,26 +169,9 @@ func (s *StackF32) Bytes() int {
 // ForwardBatch runs every packed layer over the flattened batch. The returned
 // batch aliases scratch storage and is valid until the next Reset.
 func (s *StackF32) ForwardBatch(in *Batch32, scratch *BatchScratch32) *Batch32 {
-	return s.forward(in, scratch, nil)
-}
-
-// ForwardBatchObserve is ForwardBatch plus a per-channel absmax observer:
-// obs[l][c] is raised to at least the largest |x| in channel c of layer l's
-// input activations. A node's own row and its appearance as a child carry
-// the same values, so the ic-wide column maxima cover all three segments of
-// the concatenated [x; left; right] GEMM input. Used by the int8 calibration
-// pass.
-func (s *StackF32) ForwardBatchObserve(in *Batch32, scratch *BatchScratch32, obs [][]float32) *Batch32 {
-	return s.forward(in, scratch, obs)
-}
-
-func (s *StackF32) forward(in *Batch32, scratch *BatchScratch32, obs [][]float32) *Batch32 {
 	scratch.partition(in)
 	cur, out := in, &scratch.ping
-	for li, l := range s.Layers {
-		if obs != nil {
-			nn.AbsMaxCols(cur.Data, cur.N, cur.Channels, obs[li])
-		}
+	for _, l := range s.Layers {
 		l.forwardBatchInto(cur, out, scratch)
 		if out == &scratch.ping {
 			cur, out = &scratch.ping, &scratch.pong
@@ -287,166 +265,7 @@ func PoolBatch32(b *Batch32, a *nn.Arena32) []float32 {
 	return pooled
 }
 
-// LayerI8 is one int8-quantized tree-convolution layer with its calibrated
-// per-channel input quantization multipliers.
-type LayerI8 struct {
-	In, Out int
-	W       nn.PackedI8
-	InInv   []float32 // per input channel: 127/absmax
-	Alpha   float32
-}
-
-// StackI8 is a frozen int8 tree-convolution stack. Immutable after
-// construction; safe for concurrent use with per-goroutine scratch.
-type StackI8 struct {
-	Layers []*LayerI8
-}
-
-// NewStackI8 quantizes a trained stack. calibAbs[l] holds the calibrated
-// per-channel absmax of layer l's input activations (from
-// StackF32.ForwardBatchObserve); non-positive entries fall back to absmax 1.
-// The ic-wide channel scales are replicated across the three segments of the
-// concatenated [x; left; right] K axis — a child row is the same tensor as
-// its own-node row — so the leaf kernel's EP K-prefix stays consistent.
-func NewStackI8(s *Stack, calibAbs [][]float32) *StackI8 {
-	out := &StackI8{}
-	for li, l := range s.Layers {
-		ic := l.InChannels
-		var abs []float32
-		if li < len(calibAbs) {
-			abs = calibAbs[li]
-		}
-		abs = sanitizeChanAbs(abs, ic)
-		chanAbs := make([]float32, 3*ic)
-		inv := make([]float32, ic)
-		for c, a := range abs {
-			chanAbs[c], chanAbs[ic+c], chanAbs[2*ic+c] = a, a, a
-			inv[c] = 127 / a
-		}
-		out.Layers = append(out.Layers, &LayerI8{
-			In:  ic,
-			Out: l.OutChannels,
-			W: nn.PackI8(l.OutChannels, l.Bias.Value,
-				[]int{ic, ic, ic}, chanAbs,
-				l.EP.Value, l.EL.Value, l.ER.Value),
-			InInv: inv,
-			Alpha: float32(l.Act.Alpha),
-		})
-	}
-	return out
-}
-
-// sanitizeChanAbs replaces non-positive calibrated channel absmaxes with 1,
-// mirroring nn's quantization fallback.
-func sanitizeChanAbs(abs []float32, k int) []float32 {
-	out := make([]float32, k)
-	for c := range out {
-		a := float32(0)
-		if c < len(abs) {
-			a = abs[c]
-		}
-		if !(a > 0) {
-			a = 1
-		}
-		out[c] = a
-	}
-	return out
-}
-
-// Bytes returns the packed footprint in bytes.
-func (s *StackI8) Bytes() int {
-	total := 0
-	for _, l := range s.Layers {
-		total += l.W.Bytes() + 4*len(l.InInv)
-	}
-	return total
-}
-
-// ForwardBatch runs the quantized stack over the flattened batch: each layer
-// quantizes its whole input tensor once with the calibrated scale, gathers
-// int8 rows per node group, and accumulates in int32.
-func (s *StackI8) ForwardBatch(in *Batch32, scratch *BatchScratch32) *Batch32 {
-	scratch.partition(in)
-	cur, out := in, &scratch.ping
-	for _, l := range s.Layers {
-		l.forwardBatchInto(cur, out, scratch)
-		if out == &scratch.ping {
-			cur, out = &scratch.ping, &scratch.pong
-		} else {
-			cur, out = &scratch.pong, &scratch.ping
-		}
-	}
-	return cur
-}
-
-func (l *LayerI8) forwardBatchInto(in, out *Batch32, scratch *BatchScratch32) {
-	ic, oc := l.In, l.Out
-	a := &scratch.Arena
-	qa := &scratch.QArena
-	out.Channels = oc
-	out.N = in.N
-	out.Samples = in.Samples
-	out.Left = in.Left
-	out.Right = in.Right
-	out.Sample = in.Sample
-	out.Data = a.Alloc(in.N * oc)
-
-	// Quantize the whole layer input once (per-channel scales), then gather
-	// int8 rows per group. Gathered rows keep the kernel's padded strides:
-	// the quantized tensor's [ic, icp) gutter is zero, so copying whole
-	// padded rows preserves the zero padding the tail-free GEMM relies on.
-	icp := nn.PadI8(ic)
-	xq := qa.Alloc(in.N * icp)
-	nn.QuantizeRows(xq, in.Data, in.N, ic, l.InInv)
-
-	if nl := len(scratch.leaf); nl > 0 {
-		gq := qa.Alloc(nl * icp)
-		for gi, n := range scratch.leaf {
-			copy(gq[gi*icp:(gi+1)*icp], xq[n*icp:(n+1)*icp])
-		}
-		ya := a.Alloc(nl * oc)
-		l.W.Gemm(gq, nl, ic, ya)
-		for gi, n := range scratch.leaf {
-			copy(out.Data[n*oc:(n+1)*oc], ya[gi*oc:(gi+1)*oc])
-		}
-	}
-
-	if nf := len(scratch.full); nf > 0 {
-		k := 3 * ic
-		kp := nn.PadI8(k)
-		gq := qa.Alloc(nf * kp)
-		for gi, n := range scratch.full {
-			row := gq[gi*kp : (gi+1)*kp]
-			copy(row[:ic], xq[n*icp:n*icp+ic])
-			if li := in.Left[n]; li >= 0 {
-				copy(row[ic:2*ic], xq[li*icp:li*icp+ic])
-			} else {
-				zeroI8(row[ic : 2*ic])
-			}
-			if ri := in.Right[n]; ri >= 0 {
-				copy(row[2*ic:3*ic], xq[ri*icp:ri*icp+ic])
-			} else {
-				zeroI8(row[2*ic : 3*ic])
-			}
-			zeroI8(row[3*ic:])
-		}
-		ya := a.Alloc(nf * oc)
-		l.W.Gemm(gq, nf, k, ya)
-		for gi, n := range scratch.full {
-			copy(out.Data[n*oc:(n+1)*oc], ya[gi*oc:(gi+1)*oc])
-		}
-	}
-
-	nn.LeakyReLUF32(out.Data[:in.N*oc], l.Alpha)
-}
-
 func zero32(s []float32) {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-func zeroI8(s []int8) {
 	for i := range s {
 		s[i] = 0
 	}

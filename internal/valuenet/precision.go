@@ -1,16 +1,14 @@
 // Scoring precision. Training always runs in float64; a Snapshot — the
 // frozen network the search path scores plans against — can additionally be
-// published in float32 or int8 form. The conversion happens exactly once, at
+// published in float32 form. The conversion happens exactly once, at
 // snapshot time: weights are re-packed into the tiled-GEMM panels of
-// internal/nn (and, for int8, quantized symmetrically per output channel with
-// activation scales fixed by a calibration pass over recorded featurizations),
-// and the scoring pipeline then never touches float64 between the
+// internal/nn, and the scoring pipeline then never touches float64 between the
 // input-encode boundary (query/plan vectors → float32 batch rows) and the
 // output boundary (normalised prediction → float64 denormalization).
 //
 // Precision is snapshot-only state: the float64 master weights are carried
 // unchanged inside every snapshot (they are what checkpoints save), so
-// serving float32 or int8 never perturbs training or persistence.
+// serving float32 never perturbs training or persistence.
 package valuenet
 
 import (
@@ -29,10 +27,6 @@ const (
 	PrecisionFloat64 Precision = iota
 	// PrecisionFloat32 scores with the packed float32 tiled-GEMM kernels.
 	PrecisionFloat32
-	// PrecisionInt8 scores with symmetric per-channel int8 quantized kernels
-	// (int32 accumulation), calibrated at snapshot time. Without calibration
-	// samples the snapshot falls back to float32.
-	PrecisionInt8
 )
 
 // String returns the canonical flag spelling.
@@ -40,8 +34,6 @@ func (p Precision) String() string {
 	switch p {
 	case PrecisionFloat32:
 		return "float32"
-	case PrecisionInt8:
-		return "int8"
 	default:
 		return "float64"
 	}
@@ -55,10 +47,8 @@ func ParsePrecision(s string) (Precision, error) {
 		return PrecisionFloat64, nil
 	case "float32", "f32":
 		return PrecisionFloat32, nil
-	case "int8", "i8":
-		return PrecisionInt8, nil
 	}
-	return PrecisionFloat64, fmt.Errorf("valuenet: unknown score precision %q (want float64, float32 or int8)", s)
+	return PrecisionFloat64, fmt.Errorf("valuenet: unknown score precision %q (want float64 or float32)", s)
 }
 
 // netF32 is the packed float32 form of a network's three towers.
@@ -68,24 +58,16 @@ type netF32 struct {
 	head *nn.MLPF32
 }
 
-// netI8 is the quantized int8 form.
-type netI8 struct {
-	qmlp *nn.MLPI8
-	conv *treeconv.StackI8
-	head *nn.MLPI8
-}
-
 // SnapshotInfo describes a snapshot's scoring precision and memory footprint.
 type SnapshotInfo struct {
-	// Precision is the numeric format scoring actually runs in ("float64",
-	// "float32" or "int8" — an int8 request without calibration samples
-	// reports "float32").
+	// Precision is the numeric format scoring runs in ("float64" or
+	// "float32").
 	Precision string `json:"precision"`
 	// Parameters is the number of scalar parameters of the frozen network.
 	Parameters int `json:"parameters"`
 	// ParamBytes is the float64 master copy's parameter footprint.
 	ParamBytes int `json:"param_bytes"`
-	// PanelBytes is the footprint of the packed/quantized inference panels
+	// PanelBytes is the footprint of the packed inference panels
 	// (0 for a float64 snapshot, which scores with the master weights).
 	PanelBytes int `json:"panel_bytes"`
 }
@@ -100,9 +82,6 @@ func (s *Snapshot) Info() SnapshotInfo {
 	if s.f32 != nil {
 		info.PanelBytes += s.f32.qmlp.Bytes() + s.f32.conv.Bytes() + s.f32.head.Bytes()
 	}
-	if s.i8 != nil {
-		info.PanelBytes += s.i8.qmlp.Bytes() + s.i8.conv.Bytes() + s.i8.head.Bytes()
-	}
 	return info
 }
 
@@ -110,56 +89,23 @@ func (s *Snapshot) Info() SnapshotInfo {
 func (s *Snapshot) Precision() Precision { return s.prec }
 
 // SnapshotPrecision deep-copies the network like Snapshot and additionally
-// converts the frozen weights for the requested scoring precision. For
-// PrecisionInt8 the calib samples drive the activation-scale calibration
-// (absmax over a float32 forward pass of every sample); with no samples the
-// snapshot serves float32 instead — Info().Precision reports what is actually
-// served. Like Snapshot, call it only while no training round is mutating
-// the weights.
-func (n *Network) SnapshotPrecision(p Precision, calib []Sample) *Snapshot {
+// converts the frozen weights for the requested scoring precision. Like
+// Snapshot, call it only while no training round is mutating the weights.
+func (n *Network) SnapshotPrecision(p Precision) *Snapshot {
 	s := &Snapshot{net: n.Clone(), prec: PrecisionFloat64}
 	if p == PrecisionFloat64 {
 		return s
 	}
+	s.prec = PrecisionFloat32
 	s.f32 = &netF32{
 		qmlp: nn.NewMLPF32(s.net.qmlp),
 		conv: treeconv.NewStackF32(s.net.conv),
 		head: nn.NewMLPF32(s.net.head),
 	}
-	s.prec = PrecisionFloat32
-	if p != PrecisionInt8 || len(calib) == 0 {
-		return s
-	}
-	qAbs := make([][]float32, len(s.net.qmlp.Linears))
-	for i, lin := range s.net.qmlp.Linears {
-		qAbs[i] = make([]float32, lin.In)
-	}
-	convAbs := make([][]float32, len(s.net.conv.Layers))
-	for i, l := range s.net.conv.Layers {
-		convAbs[i] = make([]float32, l.InChannels)
-	}
-	headAbs := make([][]float32, len(s.net.head.Linears))
-	for i, lin := range s.net.head.Linears {
-		headAbs[i] = make([]float32, lin.In)
-	}
-	queries := make([][]float64, len(calib))
-	forests := make([][]*treeconv.Tree, len(calib))
-	for i, c := range calib {
-		queries[i] = c.Query
-		forests[i] = c.Plan
-	}
-	s.forward32(queries, forests, qAbs, convAbs, headAbs)
-	s.i8 = &netI8{
-		qmlp: nn.NewMLPI8(s.net.qmlp, qAbs),
-		conv: treeconv.NewStackI8(s.net.conv, convAbs),
-		head: nn.NewMLPI8(s.net.head, headAbs),
-	}
-	s.f32 = nil
-	s.prec = PrecisionInt8
 	return s
 }
 
-// batchScratch32 is the reusable per-call state of the float32/int8 batched
+// batchScratch32 is the reusable per-call state of the float32 batched
 // forward, mirroring batchScratch.
 type batchScratch32 struct {
 	conv    treeconv.BatchScratch32
@@ -171,11 +117,10 @@ type batchScratch32 struct {
 
 var scratch32Pool = sync.Pool{New: func() interface{} { return &batchScratch32{} }}
 
-// forward32 runs the reduced-precision batched forward pass (float32 panels,
-// or int8 when the snapshot was quantized) and returns normalised
-// predictions as float64 — the output boundary of the pipeline. The three
-// per-channel observer slices are non-nil only during calibration.
-func (s *Snapshot) forward32(queries [][]float64, forests [][]*treeconv.Tree, qAbs, convAbs, headAbs [][]float32) []float64 {
+// forward32 runs the float32 batched forward pass over the packed panels and
+// returns normalised predictions as float64 — the output boundary of the
+// pipeline.
+func (s *Snapshot) forward32(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
 	rows := len(queries)
 	if rows == 0 {
 		return nil
@@ -219,14 +164,7 @@ func (s *Snapshot) forward32(queries [][]float64, forests [][]*treeconv.Tree, qA
 			st.qFlat = append(st.qFlat, float32(v))
 		}
 	}
-	var g []float32
-	if s.i8 != nil {
-		g = s.i8.qmlp.ForwardBatch(st.qFlat, len(st.qVecs), arena, &st.conv.QArena)
-	} else if qAbs != nil {
-		g = s.f32.qmlp.ForwardBatchObserve(st.qFlat, len(st.qVecs), arena, qAbs)
-	} else {
-		g = s.f32.qmlp.ForwardBatch(st.qFlat, len(st.qVecs), arena)
-	}
+	g := s.f32.qmlp.ForwardBatch(st.qFlat, len(st.qVecs), arena)
 	qOut := len(g) / len(st.qVecs)
 
 	channels := net.planDim + qOut
@@ -240,24 +178,9 @@ func (s *Snapshot) forward32(queries [][]float64, forests [][]*treeconv.Tree, qA
 		copy(row[net.planDim:], g[st.qIndex[sample]*qOut:(st.qIndex[sample]+1)*qOut])
 	})
 
-	var conv *treeconv.Batch32
-	switch {
-	case s.i8 != nil:
-		conv = s.i8.conv.ForwardBatch(batch, &st.conv)
-	case convAbs != nil:
-		conv = s.f32.conv.ForwardBatchObserve(batch, &st.conv, convAbs)
-	default:
-		conv = s.f32.conv.ForwardBatch(batch, &st.conv)
-	}
+	conv := s.f32.conv.ForwardBatch(batch, &st.conv)
 	pooled := treeconv.PoolBatch32(conv, arena)
-	var head []float32
-	if s.i8 != nil {
-		head = s.i8.head.ForwardBatch(pooled, rows, arena, &st.conv.QArena)
-	} else if headAbs != nil {
-		head = s.f32.head.ForwardBatchObserve(pooled, rows, arena, headAbs)
-	} else {
-		head = s.f32.head.ForwardBatch(pooled, rows, arena)
-	}
+	head := s.f32.head.ForwardBatch(pooled, rows, arena)
 
 	out := make([]float64, rows)
 	for i := range out {

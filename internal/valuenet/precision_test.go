@@ -11,7 +11,7 @@ import (
 
 // precisionFixture builds a lightly trained network plus a reference workload
 // of (query, forest) pairs.
-func precisionFixture(t *testing.T, seed int64) (*Network, [][]float64, [][]*treeconv.Tree, []Sample) {
+func precisionFixture(t *testing.T, seed int64) (*Network, [][]float64, [][]*treeconv.Tree) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const queryDim, planDim = 11, 7
@@ -41,7 +41,7 @@ func precisionFixture(t *testing.T, seed int64) (*Network, [][]float64, [][]*tre
 		queries[i] = s.Query
 		forests[i] = s.Plan
 	}
-	return net, queries, forests, samples
+	return net, queries, forests
 }
 
 func randomPlanTree(rng *rand.Rand, n, dim int) *treeconv.Tree {
@@ -62,9 +62,9 @@ func randomPlanTree(rng *rand.Rand, n, dim int) *treeconv.Tree {
 // TestSnapshotFloat32Parity asserts the float32 snapshot scores within 1e-5
 // relative of the float64 snapshot in normalised space, including batch=1.
 func TestSnapshotFloat32Parity(t *testing.T) {
-	net, queries, forests, _ := precisionFixture(t, 31)
-	s64 := net.SnapshotPrecision(PrecisionFloat64, nil)
-	s32 := net.SnapshotPrecision(PrecisionFloat32, nil)
+	net, queries, forests := precisionFixture(t, 31)
+	s64 := net.SnapshotPrecision(PrecisionFloat64)
+	s32 := net.SnapshotPrecision(PrecisionFloat32)
 
 	want := s64.PredictBatchNormalized(queries, forests)
 	got := s32.PredictBatchNormalized(queries, forests)
@@ -89,59 +89,15 @@ func TestSnapshotFloat32Parity(t *testing.T) {
 	}
 }
 
-// TestSnapshotInt8CalibratedBound asserts int8 scoring tracks float64 within
-// the documented calibrated bound (0.05 absolute in normalised log-cost
-// space on in-calibration workloads; per-channel activation equalization
-// keeps the measured fixture error under 0.02).
-func TestSnapshotInt8CalibratedBound(t *testing.T) {
-	net, queries, forests, samples := precisionFixture(t, 32)
-	s64 := net.SnapshotPrecision(PrecisionFloat64, nil)
-	s8 := net.SnapshotPrecision(PrecisionInt8, samples)
-	if s8.Precision() != PrecisionInt8 {
-		t.Fatalf("precision = %v, want int8", s8.Precision())
-	}
-
-	want := s64.PredictBatchNormalized(queries, forests)
-	got := s8.PredictBatchNormalized(queries, forests)
-	for i := range want {
-		if d := math.Abs(got[i] - want[i]); d > 0.05 {
-			t.Fatalf("int8 normalised[%d] = %v want %v (err %g beyond calibrated bound)", i, got[i], want[i], d)
-		}
-	}
-}
-
-// TestSnapshotInt8FallsBackWithoutCalibration asserts an int8 request with no
-// calibration samples serves float32 and reports it.
-func TestSnapshotInt8FallsBackWithoutCalibration(t *testing.T) {
-	net, queries, forests, _ := precisionFixture(t, 33)
-	s8 := net.SnapshotPrecision(PrecisionInt8, nil)
-	if s8.Precision() != PrecisionFloat32 {
-		t.Fatalf("precision = %v, want float32 fallback", s8.Precision())
-	}
-	if info := s8.Info(); info.Precision != "float32" {
-		t.Fatalf("Info().Precision = %q, want float32", info.Precision)
-	}
-	s32 := net.SnapshotPrecision(PrecisionFloat32, nil)
-	a := s8.PredictBatchNormalized(queries, forests)
-	b := s32.PredictBatchNormalized(queries, forests)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("fallback snapshot diverges from float32 at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
 // TestSnapshotInfo asserts the footprint report: float64 has no panels,
-// float32 panels cost ≈4 bytes/param plus padding, int8 panels are smaller
-// than float32's.
+// float32 panels cost ≈4 bytes/param plus padding.
 func TestSnapshotInfo(t *testing.T) {
-	net, _, _, samples := precisionFixture(t, 34)
-	i64 := net.SnapshotPrecision(PrecisionFloat64, nil).Info()
-	i32 := net.SnapshotPrecision(PrecisionFloat32, nil).Info()
-	i8 := net.SnapshotPrecision(PrecisionInt8, samples).Info()
+	net, _, _ := precisionFixture(t, 34)
+	i64 := net.SnapshotPrecision(PrecisionFloat64).Info()
+	i32 := net.SnapshotPrecision(PrecisionFloat32).Info()
 
-	if i64.Precision != "float64" || i32.Precision != "float32" || i8.Precision != "int8" {
-		t.Fatalf("precisions = %q/%q/%q", i64.Precision, i32.Precision, i8.Precision)
+	if i64.Precision != "float64" || i32.Precision != "float32" {
+		t.Fatalf("precisions = %q/%q", i64.Precision, i32.Precision)
 	}
 	if i64.Parameters != net.NumParameters() || i64.ParamBytes != 8*net.NumParameters() {
 		t.Fatalf("param accounting wrong: %+v", i64)
@@ -149,11 +105,8 @@ func TestSnapshotInfo(t *testing.T) {
 	if i64.PanelBytes != 0 {
 		t.Fatalf("float64 snapshot has panel bytes: %d", i64.PanelBytes)
 	}
-	if i32.PanelBytes == 0 || i8.PanelBytes == 0 {
-		t.Fatalf("packed snapshots report no panel bytes: f32=%d i8=%d", i32.PanelBytes, i8.PanelBytes)
-	}
-	if i8.PanelBytes >= i32.PanelBytes {
-		t.Fatalf("int8 panels (%d B) not smaller than float32 panels (%d B)", i8.PanelBytes, i32.PanelBytes)
+	if i32.PanelBytes < 4*net.NumParameters() {
+		t.Fatalf("float32 panels %d B, want at least 4 B per parameter (%d params)", i32.PanelBytes, net.NumParameters())
 	}
 }
 
@@ -161,8 +114,8 @@ func TestSnapshotInfo(t *testing.T) {
 // goroutines (run under -race in CI) and checks every caller sees identical
 // scores.
 func TestSnapshotFloat32Concurrent(t *testing.T) {
-	net, queries, forests, _ := precisionFixture(t, 35)
-	s32 := net.SnapshotPrecision(PrecisionFloat32, nil)
+	net, queries, forests := precisionFixture(t, 35)
+	s32 := net.SnapshotPrecision(PrecisionFloat32)
 	want := s32.PredictBatchNormalized(queries, forests)
 
 	const workers = 8

@@ -49,13 +49,12 @@ func (n *Network) Clone() *Network {
 //
 // A snapshot always carries the float64 master weights (net); depending on
 // the precision it was published with (see SnapshotPrecision), scoring runs
-// either directly on them or through the packed float32 / quantized int8
-// kernels converted once at snapshot time.
+// either directly on them or through the packed float32 kernels converted
+// once at snapshot time.
 type Snapshot struct {
 	net  *Network
 	prec Precision
 	f32  *netF32 // packed panels; non-nil when prec is float32
-	i8   *netI8  // quantized panels; non-nil when prec is int8
 }
 
 // Snapshot deep-copies the network's current weights into a frozen float64
@@ -63,7 +62,7 @@ type Snapshot struct {
 // (Neo calls it at the end of each retraining round, under the training
 // lock). See SnapshotPrecision for reduced-precision snapshots.
 func (n *Network) Snapshot() *Snapshot {
-	return n.SnapshotPrecision(PrecisionFloat64, nil)
+	return n.SnapshotPrecision(PrecisionFloat64)
 }
 
 // Predict implements Predictor.
@@ -79,7 +78,7 @@ func (s *Snapshot) PredictNormalized(queryVec []float64, trees []*treeconv.Tree)
 	if s.prec == PrecisionFloat64 {
 		return s.net.PredictNormalized(queryVec, trees)
 	}
-	return s.forward32([][]float64{queryVec}, [][]*treeconv.Tree{trees}, nil, nil, nil)[0]
+	return s.forward32([][]float64{queryVec}, [][]*treeconv.Tree{trees})[0]
 }
 
 // PredictBatch implements Predictor.
@@ -87,7 +86,7 @@ func (s *Snapshot) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree)
 	if s.prec == PrecisionFloat64 {
 		return s.net.PredictBatch(queries, forests)
 	}
-	out := s.forward32(queries, forests, nil, nil, nil)
+	out := s.forward32(queries, forests)
 	for i, v := range out {
 		out[i] = s.net.denormalize(v)
 	}
@@ -99,7 +98,7 @@ func (s *Snapshot) PredictBatchNormalized(queries [][]float64, forests [][]*tree
 	if s.prec == PrecisionFloat64 {
 		return s.net.PredictBatchNormalized(queries, forests)
 	}
-	return s.forward32(queries, forests, nil, nil, nil)
+	return s.forward32(queries, forests)
 }
 
 // NumParameters returns the total number of scalar parameters of the frozen

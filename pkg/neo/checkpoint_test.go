@@ -233,12 +233,12 @@ func precisionSystem(t testing.TB, prec string) *System {
 }
 
 // TestCheckpointPrecisionIsSnapshotOnly asserts that serving precision never
-// leaks into the checkpoint container: a checkpoint saved while serving int8
-// restores the float64 master weights bit-identically into systems serving
+// leaks into the checkpoint container: a checkpoint saved while serving
+// float32 restores the float64 master weights bit-identically into systems serving
 // at any precision, and each restored system serves at its own configured
 // precision, not the saver's.
 func TestCheckpointPrecisionIsSnapshotOnly(t *testing.T) {
-	src := precisionSystem(t, "int8")
+	src := precisionSystem(t, "float32")
 	wl, err := src.GenerateWorkload(6)
 	if err != nil {
 		t.Fatal(err)
@@ -246,8 +246,8 @@ func TestCheckpointPrecisionIsSnapshotOnly(t *testing.T) {
 	if err := src.Bootstrap(wl.Queries[:4]); err != nil {
 		t.Fatal(err)
 	}
-	if got := src.SnapshotInfo().Precision; got != "int8" {
-		t.Fatalf("source serves %q, want int8", got)
+	if got := src.SnapshotInfo().Precision; got != "float32" {
+		t.Fatalf("source serves %q, want float32", got)
 	}
 	var buf bytes.Buffer
 	if err := src.SaveCheckpoint(&buf); err != nil {
@@ -255,7 +255,7 @@ func TestCheckpointPrecisionIsSnapshotOnly(t *testing.T) {
 	}
 
 	want := src.Neo.Net.Params()
-	for _, prec := range []string{"", "float32", "int8"} {
+	for _, prec := range []string{"", "float64", "float32"} {
 		dst := precisionSystem(t, prec)
 		if err := dst.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"neo/internal/core"
 	"neo/internal/datagen"
@@ -76,8 +75,8 @@ type (
 	ExperimentConfig = experiments.Config
 	// ValueNetConfig configures the value-network architecture.
 	ValueNetConfig = valuenet.Config
-	// FusionStats reports the cross-request inference scheduler's cumulative
-	// fusion counters (see Config.FuseScoring and System.FusionStats).
+	// FusionStats reports the score memo's cumulative counters (see
+	// Config.FuseScoring and System.FusionStats).
 	FusionStats = sched.Stats
 	// SnapshotInfo describes the serving snapshot's scoring precision and
 	// memory footprint (see Config.ScorePrecision and System.SnapshotInfo).
@@ -185,32 +184,23 @@ type Config struct {
 	TrainWorkers int
 	// FuseScoring routes the batched-scoring submissions of every search —
 	// Optimize, PlanAll workers, concurrent neo-serve requests — through one
-	// shared micro-batching scheduler: submissions arriving within
-	// FuseLinger of each other are fused into a single value-network forward
-	// pass of up to MaxFusedBatch rows, so N concurrent searches approach
-	// the cost of one large-batch scorer instead of N small ones. Fused
-	// scores are bit-identical to private scoring, so plans, caches and
-	// training are unaffected; the scheduler is drained and recreated on
-	// every retraining swap, so one fused pass never mixes two weight sets.
-	// A search running alone skips the linger — an idle system pays nothing.
+	// per-snapshot score memo: each distinct encoded plan is scored once per
+	// snapshot, and repeats (within one submission or across searches, as
+	// when concurrent requests for one hot query stampede after a retrain)
+	// are answered without a forward pass. Memoised scores are bit-identical
+	// to private scoring, so plans, caches and training are unaffected; the
+	// memo is recreated on every retraining swap, so it never mixes two
+	// weight sets.
 	FuseScoring bool
-	// MaxFusedBatch caps the rows of one fused forward pass (default 64).
-	// Only meaningful with FuseScoring.
-	MaxFusedBatch int
-	// FuseLinger bounds how long a scoring submission waits to be fused
-	// (default 200µs). Only meaningful with FuseScoring.
-	FuseLinger time.Duration
 	// ValueNet overrides the value-network architecture (default: a small
 	// network structurally identical to the paper's).
 	ValueNet *ValueNetConfig
 	// ScorePrecision selects the numeric format the frozen serving snapshot
-	// scores plans with: "float64" (or "", the exact historical default),
-	// "float32" (packed tiled-GEMM inference kernels) or "int8" (symmetric
-	// per-channel quantization calibrated from recorded featurizations; it
-	// serves float32 until the experience holds calibration material).
-	// Training always runs in float64 and checkpoints always persist the
-	// float64 master weights — the conversion happens once per snapshot
-	// publication, inside the atomic swap. Open rejects unknown values.
+	// scores plans with: "float64" (or "", the exact historical default) or
+	// "float32" (packed tiled-GEMM inference kernels). Training always runs
+	// in float64 and checkpoints always persist the float64 master weights —
+	// the conversion happens once per snapshot publication, inside the
+	// atomic swap. Open rejects unknown values.
 	ScorePrecision string
 	// Cost selects the optimisation objective (default WorkloadCost).
 	Cost core.CostFunction
@@ -446,8 +436,6 @@ func Open(cfg Config) (*System, error) {
 	coreCfg.Workers = cfg.Workers
 	coreCfg.TrainWorkers = cfg.TrainWorkers
 	coreCfg.FuseScoring = cfg.FuseScoring
-	coreCfg.MaxFusedBatch = cfg.MaxFusedBatch
-	coreCfg.FuseLinger = cfg.FuseLinger
 	if cfg.ValueNet != nil {
 		coreCfg.ValueNet = *cfg.ValueNet
 	}
@@ -617,9 +605,9 @@ func (e cachedPlan) bind(q *Query) (*Plan, *SearchResult, error) {
 // cache.
 func (s *System) PlanCacheStats() PlanCacheStats { return s.cache.stats() }
 
-// FusionStats reports the cross-request inference scheduler's cumulative
-// fusion counters (Enabled is false — and everything zero — unless the
-// system was opened with Config.FuseScoring). Counters are monotonic across
+// FusionStats reports the score memo's cumulative counters (Enabled is
+// false — and everything zero — unless the system was opened with
+// Config.FuseScoring). Counters are monotonic across
 // retraining swaps. Safe for concurrent use.
 func (s *System) FusionStats() FusionStats { return s.Neo.FusionStats() }
 
@@ -753,8 +741,11 @@ func (s *System) Compare(q *Query) (neoLatency, nativeLatency float64, err error
 	return neoLatency, nativeLatency, err
 }
 
-// TrueCardinality returns the exact result cardinality of a query, computed
-// by executing it.
+// TrueCardinality returns the result cardinality of a query, computed by
+// executing a canonical plan for it on the in-memory executor. The executor
+// keeps its sampling cap (executor.DefaultMaxRows): while no intermediate
+// result exceeds the cap the count is exact, and beyond it the count is an
+// estimate extrapolated from a uniform sample.
 func (s *System) TrueCardinality(q *Query) (float64, error) {
 	return executor.New(s.DB).Count(q)
 }

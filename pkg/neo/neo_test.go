@@ -2,6 +2,7 @@ package neo
 
 import (
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -50,6 +51,11 @@ func TestOpenRejectsUnknowns(t *testing.T) {
 	}
 	if _, err := Open(Config{Engine: "db2", Scale: 0.1}); err == nil {
 		t.Errorf("unknown engine should error")
+	}
+	// int8 scoring is not supported; the error names the formats that are.
+	_, err := Open(Config{Scale: 0.1, ScorePrecision: "int8"})
+	if err == nil || !strings.Contains(err.Error(), "float64") || !strings.Contains(err.Error(), "float32") {
+		t.Errorf("ScorePrecision int8: got error %v, want one naming float64 and float32", err)
 	}
 }
 
